@@ -56,7 +56,7 @@ int run(bool quick) {
 
   const std::int64_t full = std::int64_t{scene.width()} * scene.height();
   run_config("sequence division (whole frames)",
-             PartitionScheme::kSequenceDivision, 0, full);
+             PartitionScheme::kSequenceDivision, 1, full);
   const int big = quick ? 80 : 160;
   char label[64];
   std::snprintf(label, sizeof(label), "frame division, %dx%d blocks", big, big);

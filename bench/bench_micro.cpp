@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the hot inner loops: primitive
-// intersection, DDA grid traversal, coherence marking/collection, the
-// pixel codec and the wire format.
+// intersection, the cylinder footprint test, DDA grid traversal, the
+// per-frame accelerator build, coherence marking/collection, the pixel codec
+// and the wire format.
 //
 // Shares the bench-suite flag contract: --metrics-out FILE maps onto
 // google-benchmark's JSON reporter, --quick trims the per-benchmark
@@ -58,6 +59,30 @@ void BM_CylinderIntersect(benchmark::State& state) {
 }
 BENCHMARK(BM_CylinderIntersect);
 
+// The footprint kernel: capsule-vs-box distance for every cell of a lattice
+// over a cradle-string-like cylinder's bounds, as the accelerator build and
+// the change detector run it.
+void BM_CylinderOverlapsBox(benchmark::State& state) {
+  const Cylinder cyl({-0.3, 1.1, 0.2}, {0.05, 0.35, -0.1}, 0.012);
+  const Aabb b = cyl.bounds();
+  const VoxelGrid grid(b, 12, 12, 12);
+  std::vector<Aabb> cells;
+  for (int iz = 0; iz < 12; ++iz) {
+    for (int iy = 0; iy < 12; ++iy) {
+      for (int ix = 0; ix < 12; ++ix) {
+        cells.push_back(grid.cell_bounds(ix, iy, iz));
+      }
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cyl.overlaps_box(cells[i]));
+    if (++i == cells.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CylinderOverlapsBox);
+
 void BM_GridWalk(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const VoxelGrid grid({{-2, -2, -2}, {2, 2, 2}}, n, n, n);
@@ -99,6 +124,19 @@ void BM_AccelClosestHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AccelClosestHit);
+
+// The per-frame accelerator rebuild of a cradle frame (1 plane, 5 spheres,
+// 16 cylinders): every incremental frame pays it once.
+void BM_AccelBuildNewton(benchmark::State& state) {
+  CradleParams params;
+  params.frames = 1;
+  const World world = newton_cradle_scene(params).world_at(0);
+  for (auto _ : state) {
+    const UniformGridAccelerator accel(world);
+    benchmark::DoNotOptimize(&accel);
+  }
+}
+BENCHMARK(BM_AccelBuildNewton)->Unit(benchmark::kMicrosecond);
 
 void BM_CoherenceMark(benchmark::State& state) {
   const VoxelGrid vg({{-2, -2, -2}, {2, 2, 2}}, 32, 32, 32);

@@ -111,9 +111,9 @@ int run(bool quick) {
   // (4) distributed without coherence: demand-driven per-frame 80×80 blocks.
   const FarmResult dist_plain = farm(PartitionScheme::kHybrid, false, 1);
   // (6) distributed + coherence, sequence division.
-  const FarmResult dist_seq = farm(PartitionScheme::kSequenceDivision, true, 0);
+  const FarmResult dist_seq = farm(PartitionScheme::kSequenceDivision, true, 1);
   // (8) distributed + coherence, frame division.
-  const FarmResult dist_frame = farm(PartitionScheme::kFrameDivision, true, 0);
+  const FarmResult dist_frame = farm(PartitionScheme::kFrameDivision, true, 1);
 
   // Correctness gate: every configuration renders the same animation.
   const std::vector<const std::vector<Framebuffer>*> all = {

@@ -1,17 +1,31 @@
 #include "src/geom/cylinder.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/geom/overlap.h"
 
 namespace now {
 
+Cylinder::Cylinder(const Vec3& p0, const Vec3& p1, double radius)
+    : p0_(p0), p1_(p1), radius_(radius), height_((p1 - p0).length()) {
+  if (height_ > 0.0) axis_ = (p1_ - p0_) / height_;
+  // Tight bounds of a capped cylinder: per axis, extent of the endpoints
+  // expanded by r*sqrt(1 - a[axis]^2) where a is the unit axis.
+  Vec3 pad{radius_, radius_, radius_};
+  if (height_ > 1e-12) {
+    for (int i = 0; i < 3; ++i) {
+      const double s = 1.0 - axis_[i] * axis_[i];
+      pad[i] = radius_ * std::sqrt(std::max(0.0, s));
+    }
+  }
+  bounds_ = {min(p0_, p1_) - pad, max(p0_, p1_) + pad};
+}
+
 bool Cylinder::intersect(const Ray& ray, double t_min, double t_max,
                          Hit* hit) const {
-  const Vec3 axis = p1_ - p0_;
-  const double height = axis.length();
-  if (height < 1e-12) return false;
-  const Vec3 a = axis / height;  // unit axis
+  if (height_ < 1e-12) return false;
+  const Vec3& a = axis_;
 
   // Decompose ray into components parallel/perpendicular to the axis.
   const Vec3 oc = ray.origin - p0_;
@@ -34,7 +48,7 @@ bool Cylinder::intersect(const Ray& ray, double t_min, double t_max,
         if (t <= t_min || t >= best_t) continue;
         const Vec3 p = ray.at(t);
         const double h = dot(p - p0_, a);
-        if (h < 0.0 || h > height) continue;
+        if (h < 0.0 || h > height_) continue;
         best_t = t;
         best_normal = (p - (p0_ + a * h)) / radius_;
         found = true;
@@ -65,24 +79,8 @@ bool Cylinder::intersect(const Ray& ray, double t_min, double t_max,
   return true;
 }
 
-Aabb Cylinder::bounds() const {
-  // Tight bounds of a capped cylinder: per axis, extent of the endpoints
-  // expanded by r*sqrt(1 - a[axis]^2) where a is the unit axis.
-  const Vec3 axis = p1_ - p0_;
-  const double len = axis.length();
-  Vec3 pad{radius_, radius_, radius_};
-  if (len > 1e-12) {
-    const Vec3 a = axis / len;
-    for (int i = 0; i < 3; ++i) {
-      const double s = 1.0 - a[i] * a[i];
-      pad[i] = radius_ * std::sqrt(std::max(0.0, s));
-    }
-  }
-  return {min(p0_, p1_) - pad, max(p0_, p1_) + pad};
-}
-
 bool Cylinder::overlaps_box(const Aabb& box) const {
-  if (!bounds().overlaps(box)) return false;
+  if (!bounds_.overlaps(box)) return false;
   return segment_box_distance(p0_, p1_, box) <= radius_ + 1e-9;
 }
 

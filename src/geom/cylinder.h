@@ -8,13 +8,12 @@ namespace now {
 /// The Newton cradle's frame and strings are built from these.
 class Cylinder final : public Primitive {
  public:
-  Cylinder(const Vec3& p0, const Vec3& p1, double radius)
-      : p0_(p0), p1_(p1), radius_(radius) {}
+  Cylinder(const Vec3& p0, const Vec3& p1, double radius);
 
   ShapeType type() const override { return ShapeType::kCylinder; }
   bool intersect(const Ray& ray, double t_min, double t_max,
                  Hit* hit) const override;
-  Aabb bounds() const override;
+  Aabb bounds() const override { return bounds_; }
 
   /// Conservative: capsule (cylinder + spherical caps) vs box. A superset of
   /// the capped cylinder, as the change detector requires.
@@ -31,6 +30,10 @@ class Cylinder final : public Primitive {
   Vec3 p0_;
   Vec3 p1_;
   double radius_;
+  // Derived once here rather than per intersect/overlaps_box call.
+  double height_;  // |p1 - p0|
+  Vec3 axis_;      // unit axis p0 -> p1; zero when degenerate
+  Aabb bounds_;
 };
 
 }  // namespace now

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace now {
 
@@ -21,23 +22,61 @@ double point_box_distance_squared(const Vec3& p, const Aabb& box) {
 }
 
 double segment_box_distance(const Vec3& a, const Vec3& b, const Aabb& box) {
-  // distance(t) = dist(lerp(a,b,t), box) is convex in t, so ternary search
-  // converges to the global minimum.
-  double lo = 0.0;
-  double hi = 1.0;
-  for (int iter = 0; iter < 64; ++iter) {
-    const double m1 = lo + (hi - lo) / 3.0;
-    const double m2 = hi - (hi - lo) / 3.0;
-    const double d1 = point_box_distance_squared(lerp(a, b, m1), box);
-    const double d2 = point_box_distance_squared(lerp(a, b, m2), box);
-    if (d1 < d2) {
-      hi = m2;
-    } else {
-      lo = m1;
+  // Along p(t) = a + t·d, t in [0, 1], each axis adds zero while p is inside
+  // its slab and a quadratic once p leaves it, so the squared distance is a
+  // convex piecewise quadratic whose breakpoints are the <= 6 slab-face
+  // crossings. Within a piece the set of clamped axes is fixed: its minimum
+  // is the vertex of one quadratic, clamped to the piece. A piece with no
+  // clamped axis runs through the box.
+  const Vec3 d = b - a;
+  double cuts[8];
+  int n = 0;
+  cuts[n++] = 0.0;
+  for (int axis = 0; axis < 3; ++axis) {
+    if (d[axis] == 0.0) continue;
+    for (const double face : {box.lo[axis], box.hi[axis]}) {
+      const double t = (face - a[axis]) / d[axis];
+      if (t > 0.0 && t < 1.0) cuts[n++] = t;
     }
   }
-  const double t = 0.5 * (lo + hi);
-  return std::sqrt(point_box_distance_squared(lerp(a, b, t), box));
+  for (int i = 2; i < n; ++i) {  // insertion sort of the <= 6 crossings
+    const double t = cuts[i];
+    int j = i;
+    for (; cuts[j - 1] > t; --j) cuts[j] = cuts[j - 1];
+    cuts[j] = t;
+  }
+  cuts[n++] = 1.0;
+
+  // Every candidate is a point on the segment and each piece is minimised
+  // on its own, so a piece misclassified by rounding can only raise its own
+  // candidate, never the result.
+  double best = std::numeric_limits<double>::infinity();
+  for (int i = 0; i + 1 < n; ++i) {
+    const double t0 = cuts[i];
+    const double t1 = cuts[i + 1];
+    if (t1 <= t0) continue;  // coincident crossings: its neighbours cover it
+    const Vec3 mid = a + d * (0.5 * (t0 + t1));
+    double num = 0.0;  // sum over clamped axes of (a - face) * d
+    double den = 0.0;  // sum over clamped axes of d^2
+    bool clamped = false;
+    for (int axis = 0; axis < 3; ++axis) {
+      double face;
+      if (mid[axis] < box.lo[axis]) {
+        face = box.lo[axis];
+      } else if (mid[axis] > box.hi[axis]) {
+        face = box.hi[axis];
+      } else {
+        continue;
+      }
+      clamped = true;
+      num += (a[axis] - face) * d[axis];
+      den += d[axis] * d[axis];
+    }
+    if (!clamped) return 0.0;
+    const double t = den > 0.0 ? std::clamp(-num / den, t0, t1) : t0;
+    best = std::min(best, point_box_distance_squared(a + d * t, box));
+  }
+  return std::sqrt(best);
 }
 
 bool plane_overlaps_box(const Vec3& normal, double d, const Aabb& box) {

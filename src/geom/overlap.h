@@ -11,8 +11,8 @@ namespace now {
 double point_box_distance_squared(const Vec3& p, const Aabb& box);
 
 /// Minimum distance between the segment [a, b] and `box` (0 on overlap).
-/// Exact to within the convergence of a ternary search on the convex
-/// distance-along-segment function (~1e-9 relative).
+/// Closed form: the squared distance along the segment is minimised
+/// analytically on each of the <= 7 pieces between slab-face crossings.
 double segment_box_distance(const Vec3& a, const Vec3& b, const Aabb& box);
 
 /// Exact plane-vs-box overlap: true when the plane n·x = d passes through

@@ -381,8 +381,8 @@ RuntimeStats TcpRuntime::run(const std::vector<Actor*>& actors) {
 
   std::uint16_t port = 0;
   const int listener = make_listener(&port);
-  // The accept loop must notice shutdown (and keep the listener open for
-  // mid-run rejoins), so it wakes on the same timeout as the data sockets.
+  // The listener stays open for mid-run rejoins; teardown shuts it down to
+  // end the accept loop. The timeout tick is only a fallback for that.
   set_receive_timeout(listener, options_.receive_timeout_seconds);
 
   // Extra endpoints (framebuffer shards): each gets its own listener that
@@ -807,6 +807,10 @@ RuntimeStats TcpRuntime::run(const std::vector<Actor*>& actors) {
   for (auto& t : threads) t.join();
   timers.shutdown();
   stop_flag.store(true, std::memory_order_release);
+  // Shutting a listener down wakes its blocked accept() at once, so teardown
+  // does not wait out a receive-timeout tick.
+  ::shutdown(listener, SHUT_RDWR);
+  for (const int lfd : endpoint_listeners) ::shutdown(lfd, SHUT_RDWR);
   acceptor.join();
   ::close(listener);
   for (auto& t : endpoint_acceptors) t.join();

@@ -48,6 +48,10 @@ class AnimatedScene {
 
   // -- authoring -----------------------------------------------------------
   int add_material(const Material& m);
+  /// Pre-size object storage for a builder that knows its inventory.
+  void reserve_objects(int count) {
+    objects_.reserve(static_cast<std::size_t>(count));
+  }
   int add_object(std::string name, std::unique_ptr<Primitive> local,
                  int material_id, std::unique_ptr<Animator> animator = nullptr);
   void add_light(const Light& light,

@@ -55,6 +55,8 @@ AnimatedScene newton_cradle_scene(const CradleParams& params) {
   constexpr double kRailZ = 0.5;       // rail half separation
   constexpr double kFrameX = 1.9;      // leg x position
   constexpr int kBallCount = 5;
+  // Floor, 6 frame members, and per marble a sphere and two strings.
+  scene.reserve_objects(1 + 6 + 3 * kBallCount);
 
   const CradleSchedule schedule{degrees_to_radians(params.amplitude_degrees),
                                 params.period_seconds};

@@ -4,8 +4,12 @@
 
 #include <set>
 
+#include "src/core/coherent_renderer.h"
+#include "src/geom/cylinder.h"
 #include "src/geom/plane.h"
 #include "src/geom/sphere.h"
+#include "src/scene/builtin_scenes.h"
+#include "tests/segment_box_oracle.h"
 
 namespace now {
 namespace {
@@ -113,6 +117,58 @@ TEST(AddFootprint, MatchesOverlapTests) {
     }
   }
   EXPECT_EQ(static_cast<std::int64_t>(cells.size()), expected);
+}
+
+// The closed-form capsule-box distance must not move one footprint cell on
+// the paper's scene: every object of the Newton cradle in every frame,
+// rasterised over the coherence lattice, gives the same cell list as a
+// rasterisation that decides cylinders with the ternary-search oracle.
+TEST(AddFootprint, NewtonCradleMatchesOracleRasterisation) {
+  const AnimatedScene scene = newton_cradle_scene();
+  const CoherenceOptions options;
+  const VoxelGrid grid = VoxelGrid::heuristic(
+      animation_extent(scene), scene.object_count(), options.grid_density,
+      options.grid_max_axis);
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(grid.cell_count()),
+                                 0);
+  int cylinders = 0;
+  for (int frame = 0; frame < scene.frame_count(); ++frame) {
+    const World world = scene.world_at(frame);
+    for (const WorldObject& obj : world.objects()) {
+      const Primitive& prim = *obj.primitive;
+      if (!prim.is_bounded()) continue;
+      std::vector<std::uint32_t> cells;
+      add_footprint(grid, prim, &cells, &seen);
+      for (const std::uint32_t cell : cells) seen[cell] = 0;
+
+      const auto* cylinder = prim.type() == ShapeType::kCylinder
+                                 ? static_cast<const Cylinder*>(&prim)
+                                 : nullptr;
+      if (cylinder != nullptr) ++cylinders;
+      std::vector<std::uint32_t> expected;
+      int ix0, iy0, iz0, ix1, iy1, iz1;
+      if (grid.cell_range(prim.bounds(), &ix0, &iy0, &iz0, &ix1, &iy1,
+                          &iz1)) {
+        for (int iz = iz0; iz <= iz1; ++iz) {
+          for (int iy = iy0; iy <= iy1; ++iy) {
+            for (int ix = ix0; ix <= ix1; ++ix) {
+              const Aabb box = grid.cell_bounds(ix, iy, iz);
+              if (cylinder != nullptr
+                      ? oracle_cylinder_overlaps_box(*cylinder, box)
+                      : prim.overlaps_box(box)) {
+                expected.push_back(
+                    static_cast<std::uint32_t>(grid.cell_index(ix, iy, iz)));
+              }
+            }
+          }
+        }
+      }
+      ASSERT_EQ(cells, expected)
+          << "frame " << frame << ", object " << obj.object_id;
+    }
+  }
+  // The paper's inventory: sixteen cylinders in every frame.
+  EXPECT_EQ(cylinders, 16 * scene.frame_count());
 }
 
 }  // namespace

@@ -159,6 +159,61 @@ TEST(Cylinder, DiagonalBoundsAreTight) {
   EXPECT_NEAR(b.hi.x, 1.0 + 0.1 / std::sqrt(2.0), 1e-9);
 }
 
+// A cylinder derives its unit axis, height and bounds once, at
+// construction. One reached through transformed() or clone() must answer
+// exactly like one built directly from the same endpoints.
+TEST(Cylinder, TransformedAndClonedMatchDirectConstruction) {
+  const Cylinder source({0.1, -0.3, 0.2}, {0.7, 1.4, -0.5}, 0.25);
+  const Transform t{Mat3::axis_angle(Vec3(1, 2, 3).normalized(), 0.7),
+                    {0.5, -1.0, 2.0}, 1.5};
+  const auto moved = source.transformed(t);
+  const Cylinder direct(t.apply_point(source.p0()), t.apply_point(source.p1()),
+                        source.radius() * t.scale);
+  const auto copy = direct.clone();
+  const Aabb box = direct.bounds();
+  Rng rng(11);
+  int hits = 0;
+  for (const Primitive* derived : {moved.get(), copy.get()}) {
+    EXPECT_EQ(derived->bounds(), box);
+    for (int i = 0; i < 500; ++i) {
+      // Aim at points near the cylinder so most rays hit it.
+      const Vec3 origin = rng.point_in_box(box.lo - Vec3{3, 3, 3},
+                                           box.hi + Vec3{3, 3, 3});
+      const Vec3 target = rng.point_in_box(box.lo, box.hi);
+      const Ray ray{origin, (target - origin).normalized()};
+      Hit h_direct, h_derived;
+      const bool f_direct = direct.intersect(ray, 1e-9, 1e9, &h_direct);
+      ASSERT_EQ(derived->intersect(ray, 1e-9, 1e9, &h_derived), f_direct);
+      if (!f_direct) continue;
+      ++hits;
+      EXPECT_EQ(h_derived.t, h_direct.t);
+      EXPECT_EQ(h_derived.point, h_direct.point);
+      EXPECT_EQ(h_derived.normal, h_direct.normal);
+      EXPECT_EQ(h_derived.front_face, h_direct.front_face);
+    }
+  }
+  EXPECT_GT(hits, 100);
+}
+
+TEST(Cylinder, ZeroLengthNeverHits) {
+  const Cylinder c({1, 1, 1}, {1, 1, 1}, 0.5);
+  const auto moved = c.transformed(Transform::translate({0, 2, 0}));
+  const auto copy = c.clone();
+  EXPECT_EQ(c.bounds(), Aabb({0.5, 0.5, 0.5}, {1.5, 1.5, 1.5}));
+  Rng rng(12);
+  for (int i = 0; i < 200; ++i) {
+    const Vec3 dir = rng.unit_vector();
+    Hit hit;
+    // Rays straight through each cylinder's (degenerate) centre.
+    EXPECT_FALSE(c.intersect({Vec3{1, 1, 1} - dir * 3.0, dir}, 1e-9, 1e9,
+                             &hit));
+    EXPECT_FALSE(copy->intersect({Vec3{1, 1, 1} - dir * 3.0, dir}, 1e-9, 1e9,
+                                 &hit));
+    EXPECT_FALSE(moved->intersect({Vec3{1, 3, 1} - dir * 3.0, dir}, 1e-9,
+                                  1e9, &hit));
+  }
+}
+
 TEST(Disc, HitAndRadiusMiss) {
   const Disc d({0, 1, 0}, {0, 1, 0}, 0.5);
   Hit hit;

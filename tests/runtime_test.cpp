@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <vector>
 
 #include "src/net/tcp_runtime.h"
 #include "src/net/thread_runtime.h"
@@ -125,6 +127,24 @@ TEST(TcpRuntime, LargePayloadSurvivesFraming) {
   TcpRuntime runtime;
   runtime.run({&master, &echo});
   EXPECT_TRUE(master.matched);
+}
+
+// Teardown must not wait out a receive-timeout tick: with a 30 s timeout a
+// round-trip run still returns at once, for rank 0's listener and for an
+// extra endpoint's.
+TEST(TcpRuntime, TeardownDoesNotWaitForReceiveTimeout) {
+  for (const std::vector<int>& endpoints : {std::vector<int>{},
+                                            std::vector<int>{2}}) {
+    TcpOptions options;
+    options.receive_timeout_seconds = 30.0;
+    options.extra_endpoints = endpoints;
+    TcpRuntime runtime(options);
+    const auto start = std::chrono::steady_clock::now();
+    run_ping_pong(runtime, 3, 1);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_LT(took.count(), 10.0) << "endpoints: " << endpoints.size();
+  }
 }
 
 // -- SimRuntime virtual-time semantics --------------------------------------
