@@ -156,6 +156,10 @@ struct ErrorCase {
   const char* expect_substring;
 };
 
+// Without this, gtest prints the param as raw bytes, i.e. the string
+// pointers, and the discovered ctest names change on every run.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.label; }
+
 class SceneParserErrors : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(SceneParserErrors, ReportsLineAndReason) {
