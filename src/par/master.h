@@ -1,11 +1,11 @@
-// RenderMaster: assigns tasks, collects pixels, assembles frames, writes
-// files, and performs adaptive re-splitting when workers idle (Section 3).
-//
-// Frame assembly with sparse returns relies on per-sender message ordering
-// (guaranteed by all three runtimes): a sparse result for frame f of a
-// region is applied on top of that region's pixels from frame f-1, which the
-// same worker necessarily delivered earlier. The first frame of every task
-// is always dense.
+// RenderMaster: the scheduler. It assigns tasks, performs adaptive
+// re-splitting when workers idle (Section 3), and drives everything from
+// CommitDigests — it never assembles pixels itself. Pixels go to a
+// FrameStore (src/shard/frame_store.h), which decodes, validates and
+// commits each frame result and writes the frames: with --shards 1 the
+// master owns one colocated store over the whole frame space and feeds its
+// digests straight into the same bookkeeping that remote shards' digests
+// reach over the wire.
 //
 // Fault tolerance (MasterConfig::fault.enabled): every worker message is a
 // heartbeat; each assignment takes out a *progress* lease (deadline scaled
@@ -15,13 +15,14 @@
 // is dead, while a pong without progress means the worker is alive but the
 // task is stuck (e.g. the assignment was lost in transit) — either way the
 // unfinished frames are re-enqueued as a fresh task whose renderer pays a
-// full first-frame restart (the paper's coherence-restart cost). Messages
-// from dead ranks are ignored forever; duplicated results and results for
-// cancelled tasks are discarded; a gap in a worker's result stream (a lost
-// frame result) cancels the task and reclaims the remainder, because the
-// region's sparse chain is broken from the gap onward. If every worker dies
-// the master stops with whatever frames it has — it never blocks shutdown
-// on a dead rank.
+// full first-frame restart (the paper's coherence-restart cost). Progress
+// from dead ranks and cancelled tasks is ignored (a store still commits
+// their chain-valid pixels, identical by the coherence guarantee);
+// duplicated results are dropped at the commit gate; a gap in a task's
+// result chain (a lost frame result) cancels the task and reclaims the
+// remainder, because the region's sparse chain is broken from the gap
+// onward. If every worker dies the master stops with whatever frames it
+// has — it never blocks shutdown on a dead rank.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,7 @@
 #include "src/scene/animated_scene.h"
 #include "src/shard/digest.h"
 #include "src/shard/frame_sink.h"
+#include "src/shard/frame_store.h"
 #include "src/shard/ownership.h"
 
 namespace now {
@@ -101,9 +103,9 @@ struct MasterConfig {
   /// Scheduling-decision instants (task.assign, task.split, lease.ping,
   /// worker.dead, ...) on the master's timeline. Null disables.
   EventTracer* tracer = nullptr;
-  /// Sink for net.frame_decode_failures (results whose envelope failed to
-  /// decode — CRC mismatch, bad version, malformed payload — and were
-  /// treated as lost messages). Null disables.
+  /// Sink for the scheduler's sched.* and endpoint.0.* counters, and for
+  /// the colocated store's net.frame_decode_failures (results that failed
+  /// to decode or were malformed and were treated as lost). Null disables.
   MetricsRegistry* metrics = nullptr;
   /// Live telemetry plane: when sample_interval_seconds > 0 (and a sampler
   /// or status board is attached) the master arms a kTagSampleTick
@@ -119,12 +121,12 @@ struct MasterConfig {
   /// sched.stragglers counter, worker.straggler trace instants, and the
   /// speculation victim ranking.
   StragglerConfig straggler;
-  /// Frame ownership map. With shards.shard_count > 1 the master runs as a
-  /// *thin scheduler*: it holds no pixels, workers stream frame results
-  /// directly to the owning FrameShard actor, and the master drives all
-  /// scheduling (leases, reassignment, adaptive splits, speculation,
-  /// checkpoints) from the per-result CommitDigests the shards send back.
-  /// The default (count 1) is the classic single-master pipeline.
+  /// Frame ownership map. The master always drives scheduling (leases,
+  /// reassignment, adaptive splits, speculation, checkpoints) from
+  /// per-result CommitDigests. With shards.shard_count > 1 workers stream
+  /// frame results to the owning remote FrameShard actors, which send the
+  /// digests back; the default (count 1) keeps one colocated FrameStore in
+  /// the master that produces them locally.
   ShardMap shards;
   /// Multi-tenant service mode (see MasterServiceConfig). Off by default:
   /// the classic one-animation-per-process behavior is bit-for-bit
@@ -205,10 +207,11 @@ class RenderMaster final : public Actor {
   void on_start(Context& ctx) override;
   void on_message(Context& ctx, const Message& msg) override;
 
-  /// Assembled animation (valid after the runtime finishes). In service
-  /// mode this is the concatenated global frame space; slice per shot with
+  /// The colocated store holding the assembled animation (valid after the
+  /// runtime finishes); null when remote shards own the pixels. In service
+  /// mode it spans the concatenated global frame space; slice per shot with
   /// shot_summaries()'s base_frame/frame_count.
-  const std::vector<Framebuffer>& frames() const { return frames_; }
+  const FrameStore* frame_store() const { return store_.get(); }
   const MasterReport& report() const { return report_; }
   const FaultReport& fault_report() const { return fault_report_; }
 
@@ -263,12 +266,24 @@ class RenderMaster final : public Actor {
     double ping_time = -1.0; // outstanding liveness ping (-1 none)
   };
 
-  void handle_frame_result(Context& ctx, const Message& msg);
-  /// Sharded mode: one CommitDigest from a shard, the scheduler's only view
-  /// of a worker's result. Order-independent accounting (commit totals,
-  /// area bookkeeping, checkpoints) applies immediately; order-dependent
-  /// worker progress goes through the deferred_frames reorder buffer.
+  /// kTagCommitDigest from a remote shard: decode it, fence a dead shard's
+  /// stale incarnation, and apply the rest.
   void handle_commit_digest(Context& ctx, const Message& msg);
+  /// One CommitDigest — from the colocated store or a remote shard — the
+  /// scheduler's only view of a worker's result. Order-independent
+  /// accounting (commit totals, area bookkeeping, frame completion) applies
+  /// immediately; worker progress goes through advance_worker.
+  void apply_digest(Context& ctx, const CommitDigest& d);
+  /// Order-dependent half of apply_digest: move the worker's chain (through
+  /// the deferred_frames reorder buffer), or cancel and reclaim its task on
+  /// a reject or a gap.
+  void advance_worker(Context& ctx, const CommitDigest& d);
+  /// A frame's missing area reached zero: count it and, in service mode,
+  /// credit its shot and tenant (finishing the shot on its last frame).
+  void note_frame_complete(Context& ctx, std::int32_t frame);
+  /// Append a checkpoint once journal_checkpoint_every fresh commits have
+  /// accumulated since the last one.
+  void checkpoint_if_due();
   /// Digest chain for `worker` advanced to the end of its task (or the task
   /// was written off): run the parked idle transition, if any.
   void release_pending_request(Context& ctx, int worker);
@@ -319,9 +334,8 @@ class RenderMaster final : public Actor {
   /// The /status document: per-worker lease/task state, queue depth, shard
   /// completion counts, stragglers, recent throughput.
   std::string render_status_json(Context& ctx) const;
-  /// Fresh-commit telemetry shared by the single-master and digest paths:
-  /// close the frame's flow chain, feed the straggler detector, bump the
-  /// live counters.
+  /// Fresh-commit telemetry: close the frame's flow chain, feed the
+  /// straggler detector, bump the live counters.
   void note_commit(Context& ctx, int worker, std::int32_t task_id,
                    std::uint64_t trace_ctx, std::int32_t frame,
                    double render_seconds);
@@ -348,7 +362,6 @@ class RenderMaster final : public Actor {
   /// task (whose first frame will be a full coherence-restart render).
   void cancel_and_reclaim(Context& ctx, int worker);
   void declare_dead(Context& ctx, int worker);
-  void discard_result(const FrameResult& result, bool wasted_work);
 
   // -- multi-tenant service ----------------------------------------------
   /// Weighted-fair admission state for one tenant (stride scheduling: each
@@ -419,8 +432,8 @@ class RenderMaster final : public Actor {
   /// pair and shrink the clone away so its worker returns for real work.
   void service_preempt_if_backlogged(Context& ctx);
   void finish_shot(Context& ctx, Shot& shot);
-  /// Shot owning a global frame (-1 when none — cannot happen for frames
-  /// in [0, frames_.size()) once admitted).
+  /// Shot owning a global frame (-1 when none — cannot happen for an
+  /// admitted frame).
   int shot_of_frame(std::int32_t frame) const;
   std::string service_frame_path(std::int32_t frame) const;
 
@@ -434,7 +447,6 @@ class RenderMaster final : public Actor {
   /// shard liveness is off.
   std::vector<ShardState> shard_states_;
 
-  std::vector<Framebuffer> frames_;
   std::vector<std::int64_t> frame_area_missing_;
   std::int64_t area_frames_missing_ = 0;
   std::int32_t next_task_id_ = 0;
@@ -453,17 +465,15 @@ class RenderMaster final : public Actor {
   /// Every task id that was ever half of a pair: duplicate commits from
   /// these are speculation waste, not protocol anomalies.
   std::set<std::int32_t> spec_tasks_;
-  /// Durable IO (journal appends + TGA writes), shared with the shard path.
-  /// In sharded mode the sink carries the scheduler's checkpoint-only
+  /// Durable IO (journal appends + TGA writes). The colocated store commits
+  /// through it; in sharded mode it carries the scheduler's checkpoint-only
   /// journal and never sees pixels.
   std::unique_ptr<FrameSink> sink_;
-  /// Sharded mode: fresh commits since the last checkpoint record (the
-  /// scheduler journal has no region commits to count).
+  /// The colocated store (--shards 1); null when remote shards own pixels.
+  std::unique_ptr<FrameStore> store_;
+  /// Fresh commits since the last checkpoint record.
   std::int64_t digests_since_checkpoint_ = 0;
-  Counter* decode_failures_ = nullptr;  // null when metrics are off
-  Counter* ep_frame_bytes_ = nullptr;       // endpoint.0.frame_bytes
   Counter* ep_digest_bytes_ = nullptr;      // endpoint.0.digest_bytes
-  Counter* ep_decode_failures_ = nullptr;   // endpoint.0.frame_decode_failures
   // Live scheduler instruments, registered whenever metrics are on (never
   // gated on the telemetry plane, so sim metrics JSON is identical with the
   // plane enabled or disabled). Updated deterministically from commits.

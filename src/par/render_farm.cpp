@@ -583,20 +583,22 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
     }
   }
   result.elapsed_seconds = result.runtime.elapsed_seconds;
-  if (sharded) {
-    // The thin scheduler holds no pixels: stitch the animation back
-    // together from the shards' owned ranges.
-    result.frames.assign(static_cast<std::size_t>(scene.frame_count()),
-                         Framebuffer(scene.width(), scene.height()));
-    for (auto& s : shards) {
-      for (int f = 0; f < s->owned_frames(); ++f) {
-        result.frames[static_cast<std::size_t>(s->first_frame() + f)] =
-            s->frames()[static_cast<std::size_t>(f)];
-      }
-      result.shards.push_back(s->report());
+  // Stitch the animation together from the stores' owned ranges: the
+  // master's colocated store, or every remote shard's.
+  std::vector<const FrameStore*> stores;
+  if (master.frame_store() != nullptr) stores.push_back(master.frame_store());
+  for (auto& s : shards) {
+    stores.push_back(&s->store());
+    result.shards.push_back(s->report());
+  }
+  for (const FrameStore* store : stores) {
+    if (static_cast<int>(result.frames.size()) < store->end_frame()) {
+      result.frames.resize(static_cast<std::size_t>(store->end_frame()),
+                           Framebuffer(scene.width(), scene.height()));
     }
-  } else {
-    result.frames = master.frames();
+    for (int f = store->first_frame(); f < store->end_frame(); ++f) {
+      result.frames[static_cast<std::size_t>(f)] = store->frame(f);
+    }
   }
   result.master = master.report();
   for (auto& w : workers) result.workers.push_back(w->report());

@@ -127,8 +127,8 @@ struct FarmConfig {
   /// End-game speculation: duplicate the slowest in-flight task onto idle
   /// workers and keep whichever copy commits first.
   bool speculation = false;
-  /// Framebuffer shards. 1 (default) is the classic single master. N > 1
-  /// splits the master into a thin scheduler (rank 0) plus N FrameShard
+  /// Framebuffer shards. 1 (default) keeps one frame store colocated with
+  /// the master, which commits every result itself. N > 1 adds N FrameShard
   /// actors (ranks workers+1 .. workers+N), each owning a contiguous frame
   /// range: workers stream pixels straight to the owning shard, which
   /// decodes, journals to its own segment, and writes its own TGAs, while

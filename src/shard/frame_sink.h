@@ -1,9 +1,10 @@
 // FrameSink: the one owner of durable frame IO — journal appends and
-// atomic TGA writes — shared by the single-master path, the thin scheduler
-// (checkpoint-only journal), and each framebuffer shard.
+// atomic TGA writes. Every FrameStore commits through one (the master's own
+// sink for the colocated store, a per-segment sink for each remote shard),
+// and the scheduler appends its checkpoints to the master's.
 //
-// Before the shard subsystem this logic lived inline in RenderMaster;
-// extracting it keeps the crash-consistency contract in exactly one place:
+// Keeping this in one class keeps the crash-consistency contract in exactly
+// one place:
 // a region commit appends a CRC-framed record whose digest runs over the
 // *decoded* pixels (journals are codec-invariant), and a frame completion
 // renames the TGA into place *before* appending the record that declares it
@@ -68,9 +69,6 @@ class FrameSink {
   void checkpoint(const CheckpointRecord& rec);
 
   bool journaling() const { return journal_ != nullptr; }
-  std::int64_t commits_since_checkpoint() const {
-    return journal_ != nullptr ? journal_->commits_since_checkpoint() : 0;
-  }
 
   // Journal statistics for the owning actor's report.
   std::int64_t journal_records() const {

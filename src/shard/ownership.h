@@ -1,6 +1,6 @@
-// ShardMap: the static frame-ownership map of the sharded framebuffer.
+// ShardMap: the static frame-ownership map of the framebuffer.
 //
-// With --shards N the master splits into a thin scheduler (rank 0) and N
+// With --shards N > 1 the scheduler (rank 0) is joined by N remote
 // framebuffer/IO shards (ranks worker_count+1 .. worker_count+N), each
 // owning a disjoint contiguous range of frames. Workers commit rendered
 // frames directly to the owning shard — pixels never touch the scheduler —
@@ -11,8 +11,9 @@
 // computes the same owner for a frame with no coordination, the same
 // balanced-contiguous convention as split_frames() (the first
 // frame_count % shard_count shards get one extra frame). shard_count <= 1
-// means the single-master topology: owner_rank() is always 0 and nothing
-// about the PR-5 farm changes.
+// means one frame store colocated with the scheduler: owner_rank() is
+// always 0, there are no shard ranks and no key-frame boundaries, and the
+// scheduler commits results through its own store.
 #pragma once
 
 #include <utility>
@@ -25,7 +26,8 @@ struct ShardMap {
   int worker_count = 0;
   int frame_count = 0;
 
-  /// True when the farm runs the scheduler + shards topology.
+  /// True when the shards are remote ranks (shard_count > 1); otherwise the
+  /// single store is colocated with the scheduler.
   bool sharded() const { return shard_count > 1; }
 
   /// World size implied by the map: scheduler + workers (+ shards).

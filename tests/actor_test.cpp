@@ -361,7 +361,8 @@ TEST_F(MasterProtocol, CompletesAndStops) {
   // Frames assembled correctly.
   const Framebuffer ref =
       render_world(scene_.world_at(3), 32, 24, CoherenceOptions{}.trace);
-  EXPECT_EQ(master->frames()[3], ref);
+  ASSERT_NE(master->frame_store(), nullptr);
+  EXPECT_EQ(master->frame_store()->frame(3), ref);
 }
 
 TEST_F(MasterProtocol, AdaptiveSplitHandshake) {
@@ -442,10 +443,8 @@ TEST_F(MasterProtocol, NackedSplitLeavesWorkerIdle) {
   EXPECT_TRUE(ctx.stopped);
 }
 
-#ifdef NDEBUG
-// Failure injection (release builds only — debug builds assert on decode
-// failures to surface bugs loudly): malformed payloads must be ignored, not
-// crash the process or corrupt protocol state.
+// Failure injection: malformed peer payloads must be ignored and counted,
+// never crash the process or corrupt protocol state — in every build type.
 TEST_F(MasterProtocol, MalformedPayloadsAreIgnored) {
   auto master = make_master(PartitionScheme::kSequenceDivision, false);
   RecordingContext ctx(0, 2);
@@ -454,11 +453,24 @@ TEST_F(MasterProtocol, MalformedPayloadsAreIgnored) {
   RenderTask task;
   ASSERT_TRUE(decode_task(&task, ctx.take(kTagTask, 1).payload));
 
-  // Garbage frame results and shrink acks: dropped.
+  // Garbage frame results, shrink acks, task nacks and commit digests:
+  // dropped.
   master->on_message(ctx, msg_from(1, kTagFrameResult, "not a frame"));
   master->on_message(ctx, msg_from(1, kTagShrinkAck, "zzz"));
+  master->on_message(ctx, msg_from(1, kTagTaskNack, "?"));
+  master->on_message(ctx, msg_from(1, kTagCommitDigest, "!"));
+  // A well-formed digest naming a frame outside the animation.
+  CommitDigest stray;
+  stray.worker = 1;
+  stray.task_id = task.task_id;
+  stray.frame = 999;
+  stray.rect = task.region;
+  master->on_message(
+      ctx, msg_from(1, kTagCommitDigest, encode_commit_digest(stray)));
   EXPECT_FALSE(ctx.stopped);
   EXPECT_EQ(master->report().frame_results, 0);
+  EXPECT_EQ(master->fault_report().results_ignored, 5);
+  EXPECT_EQ(master->frame_store()->report().decode_failures, 1);
 
   // The protocol still completes normally afterwards.
   Framebuffer fb(32, 24);
@@ -469,6 +481,9 @@ TEST_F(MasterProtocol, MalformedPayloadsAreIgnored) {
   EXPECT_TRUE(ctx.stopped);
 }
 
+#ifdef NDEBUG
+// Release builds only: the worker asserts on undecodable master messages to
+// surface bugs loudly in Debug.
 TEST_F(WorkerProtocol, MalformedTaskAndShrinkAreIgnored) {
   worker_.on_message(ctx_, msg_from(0, kTagTask, "garbage"));
   EXPECT_FALSE(ctx_.has(kTagContinue));  // no task started

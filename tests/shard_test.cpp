@@ -1,9 +1,9 @@
 // The sharded framebuffer subsystem, end to end: the ownership map's
-// arithmetic, the digest wire record, and the standing gate of the whole
-// design — a --shards N run produces byte-identical frames to the classic
-// single-master run on every backend, including under worker crashes,
-// rejoins, speculation, and crash-consistent resume from every shard
-// journal-segment boundary.
+// arithmetic, the digest wire record, the FrameStore commit decisions, and
+// the standing gate of the whole design — a --shards N run produces
+// byte-identical frames to the --shards 1 run on every backend, including
+// under worker crashes, rejoins, speculation, and crash-consistent resume
+// from every shard journal-segment boundary.
 #include "src/shard/shard.h"
 
 #include <gtest/gtest.h>
@@ -18,10 +18,14 @@
 #include "src/ckpt/journal.h"
 #include "src/ckpt/recovery.h"
 #include "src/image/image_io.h"
+#include "src/image/pixel_codec.h"
+#include "src/obs/metrics.h"
+#include "src/par/protocol.h"
 #include "src/par/render_farm.h"
 #include "src/par/serial.h"
 #include "src/scene/builtin_scenes.h"
 #include "src/shard/digest.h"
+#include "src/shard/frame_store.h"
 #include "src/shard/ownership.h"
 
 namespace now {
@@ -180,6 +184,227 @@ TEST(CommitDigest, RejectsTruncatedAndGarbagePayloads) {
   probe.kind = static_cast<CommitKind>(200);
   EXPECT_FALSE(decode_commit_digest(&out, encode_commit_digest(probe)));
 }
+
+// -- FrameStore: the one commit path, driven directly ------------------------
+//
+// Every row feeds a short sequence of frame-result messages into a store —
+// no runtime, no scheduler — and checks the last digest's kind, the store's
+// counters and the frame pixels. Each row runs against both setups: the
+// colocated store a --shards 1 master owns (all frames, endpoint 0) and a
+// remote shard's store (a later range, its own endpoint rank).
+
+/// Just enough Context for a store: it only charges frame writes.
+class ChargeContext final : public Context {
+ public:
+  int rank() const override { return 0; }
+  int world_size() const override { return 1; }
+  void send(int, int, std::string) override {}
+  void charge(double seconds) override { charged += seconds; }
+  double now() const override { return charged; }
+  void stop() override {}
+  double charged = 0.0;
+};
+
+constexpr int kStoreW = 8;
+constexpr int kStoreH = 6;
+constexpr int kStoreFrames = 4;
+constexpr double kWriteSeconds = 0.25;
+const PixelRect kLeft{0, 0, 4, 6};
+const PixelRect kRight{4, 0, 4, 6};
+const PixelRect kWhole{0, 0, kStoreW, kStoreH};
+
+enum class Send { kDense, kSparse, kGarbage };
+
+struct StoreStep {
+  Send send = Send::kDense;
+  std::int32_t task = 1;
+  int frame = 0;  // relative to the setup's first owned frame
+  PixelRect rect = kLeft;
+  bool applied = false;  // the store must commit these pixels
+};
+
+struct StoreCase {
+  const char* name;
+  std::vector<StoreStep> steps;
+  CommitKind last;
+  std::int64_t committed = 0;
+  std::int64_t completed = 0;
+  std::int64_t duplicates = 0;
+  std::int64_t stale = 0;
+  std::int64_t rejects = 0;
+  std::int64_t decode_failures = 0;
+};
+
+void PrintTo(const StoreCase& c, std::ostream* os) { *os << c.name; }
+
+/// Deterministic payload for one step: dense steps fill the rect with one
+/// color; sparse steps carry only the rect's first pixel. Built by hand so
+/// rects outside the image never touch a framebuffer.
+PixelPayload step_payload(const StoreStep& step, std::size_t index) {
+  const Rgb8 color{static_cast<std::uint8_t>(40 + 30 * index),
+                   static_cast<std::uint8_t>(1 + step.frame),
+                   static_cast<std::uint8_t>(step.task)};
+  PixelPayload payload;
+  payload.rect = step.rect;
+  payload.dense = step.send == Send::kDense;
+  if (payload.dense) {
+    payload.dense_pixels.assign(
+        static_cast<std::size_t>(step.rect.area()), color);
+  } else {
+    payload.runs.push_back({0, {color}});
+  }
+  return payload;
+}
+
+class FrameStoreTable : public ::testing::TestWithParam<StoreCase> {};
+
+TEST_P(FrameStoreTable, DigestCountersAndPixels) {
+  const StoreCase& c = GetParam();
+  struct Setup {
+    const char* label;
+    int first_frame;
+    int endpoint_rank;
+  };
+  for (const Setup setup : {Setup{"colocated", 0, 0}, Setup{"remote", 4, 5}}) {
+    SCOPED_TRACE(setup.label);
+    MetricsRegistry metrics;
+    FrameSinkConfig sink_config;
+    sink_config.metrics = &metrics;
+    sink_config.endpoint_rank = setup.endpoint_rank;
+    FrameSink sink(sink_config);
+    FrameStoreConfig config;
+    config.width = kStoreW;
+    config.height = kStoreH;
+    config.first_frame = setup.first_frame;
+    config.frame_count = kStoreFrames;
+    config.frame_write_seconds = kWriteSeconds;
+    config.endpoint_rank = setup.endpoint_rank;
+    config.metrics = &metrics;
+    FrameStore store(config, &sink);
+
+    ChargeContext ctx;
+    std::vector<Framebuffer> want(kStoreFrames, Framebuffer(kStoreW, kStoreH));
+    std::int64_t bytes = 0;
+    CommitDigest last;
+    for (std::size_t i = 0; i < c.steps.size(); ++i) {
+      const StoreStep& step = c.steps[i];
+      FrameResult result;
+      result.task_id = step.task;
+      result.frame = setup.first_frame + step.frame;
+      result.payload = step_payload(step, i);
+      const std::string wire = step.send == Send::kGarbage
+                                   ? std::string("not a frame result")
+                                   : encode_frame_result(result);
+      bytes += static_cast<std::int64_t>(wire.size());
+      last = store.commit(ctx, Message{2, kTagFrameResult, wire});
+      EXPECT_EQ(last.worker, 2);
+      if (step.applied) {
+        Framebuffer& fb = want[static_cast<std::size_t>(step.frame)];
+        if (!result.payload.dense) {
+          fb.blit(step.rect, want[static_cast<std::size_t>(step.frame - 1)]
+                                 .extract(step.rect));
+        }
+        apply_payload(&fb, result.payload);
+      }
+    }
+    EXPECT_EQ(last.kind, c.last);
+    const StoreReport& r = store.report();
+    const std::int64_t received =
+        static_cast<std::int64_t>(c.steps.size()) -
+        (c.last == CommitKind::kDecodeFail ? 1 : 0);
+    EXPECT_EQ(r.frame_results, received);
+    EXPECT_EQ(r.frames_committed, c.committed);
+    EXPECT_EQ(r.frames_completed, c.completed);
+    EXPECT_EQ(r.duplicates, c.duplicates);
+    EXPECT_EQ(r.stale_results, c.stale);
+    EXPECT_EQ(r.chain_rejects, c.rejects);
+    EXPECT_EQ(r.decode_failures, c.decode_failures);
+    EXPECT_EQ(r.frame_bytes, bytes);
+    EXPECT_EQ(ctx.charged, kWriteSeconds * static_cast<double>(c.completed));
+
+    const MetricsSnapshot snap = metrics.snapshot();
+    const std::string ep = "endpoint." + std::to_string(setup.endpoint_rank);
+    EXPECT_EQ(snap.counter("net.frame_decode_failures"),
+              static_cast<std::uint64_t>(c.decode_failures));
+    EXPECT_EQ(snap.counter(ep + ".frame_decode_failures"),
+              static_cast<std::uint64_t>(c.decode_failures));
+    EXPECT_EQ(snap.counter(ep + ".frame_bytes"),
+              static_cast<std::uint64_t>(bytes));
+    EXPECT_EQ(snap.counter(ep + ".frames_committed"),
+              static_cast<std::uint64_t>(c.committed));
+    EXPECT_EQ(snap.counter(ep + ".frames_completed"),
+              static_cast<std::uint64_t>(c.completed));
+
+    ASSERT_EQ(store.first_frame(), setup.first_frame);
+    ASSERT_EQ(store.frame_count(), kStoreFrames);
+    for (int f = 0; f < kStoreFrames; ++f) {
+      EXPECT_EQ(store.frame(setup.first_frame + f), want[f]) << "frame " << f;
+    }
+  }
+}
+
+StoreStep dense(std::int32_t task, int frame, PixelRect rect, bool applied) {
+  return {Send::kDense, task, frame, rect, applied};
+}
+StoreStep sparse(std::int32_t task, int frame, PixelRect rect, bool applied) {
+  return {Send::kSparse, task, frame, rect, applied};
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, FrameStoreTable,
+    ::testing::Values(
+        StoreCase{"fresh", {dense(1, 0, kLeft, true)}, CommitKind::kFresh, 1},
+        StoreCase{"fresh_completes_frame",
+                  {dense(1, 0, kLeft, true), dense(2, 0, kRight, true)},
+                  CommitKind::kFresh, 2, 1},
+        StoreCase{"fresh_sparse_on_predecessor",
+                  {dense(1, 0, kWhole, true), sparse(1, 1, kWhole, true)},
+                  CommitKind::kFresh, 2, 2},
+        StoreCase{"duplicate_is_not_applied",
+                  {dense(1, 0, kLeft, true), dense(2, 0, kLeft, false)},
+                  CommitKind::kDuplicate, 1, 0, 1},
+        StoreCase{"stale_redelivery",
+                  {dense(1, 0, kLeft, true), sparse(1, 1, kLeft, true),
+                   dense(1, 0, kLeft, false)},
+                  CommitKind::kStale, 2, 0, 0, 1},
+        StoreCase{"stale_keeps_the_chain",
+                  {dense(1, 0, kLeft, true), dense(1, 0, kLeft, false),
+                   sparse(1, 1, kLeft, true)},
+                  CommitKind::kFresh, 2, 0, 0, 1},
+        StoreCase{"gap_rejects",
+                  {dense(1, 0, kLeft, true), sparse(1, 2, kLeft, false)},
+                  CommitKind::kChainReject, 1, 0, 0, 0, 1},
+        StoreCase{"gap_poisons_the_chain",
+                  {dense(1, 0, kLeft, true), sparse(1, 2, kLeft, false),
+                   sparse(1, 3, kLeft, false)},
+                  CommitKind::kChainReject, 1, 0, 0, 0, 2},
+        StoreCase{"sparse_first_rejects",
+                  {sparse(1, 1, kLeft, false)},
+                  CommitKind::kChainReject, 0, 0, 0, 0, 1, 1},
+        StoreCase{"decode_failure",
+                  {{Send::kGarbage, 1, 0, kLeft, false}},
+                  CommitKind::kDecodeFail, 0, 0, 0, 0, 0, 1},
+        StoreCase{"frame_past_range_rejects",
+                  {dense(1, kStoreFrames, kLeft, false)},
+                  CommitKind::kChainReject, 0, 0, 0, 0, 1, 1},
+        StoreCase{"frame_before_range_rejects",
+                  {dense(1, -1, kLeft, false)},
+                  CommitKind::kChainReject, 0, 0, 0, 0, 1, 1},
+        StoreCase{"rect_past_image_edge_rejects",
+                  {dense(1, 0, PixelRect{4, 0, 5, 6}, false)},
+                  CommitKind::kChainReject, 0, 0, 0, 0, 1, 1},
+        StoreCase{"rect_below_image_rejects",
+                  {dense(1, 0, PixelRect{0, 3, 8, 4}, false)},
+                  CommitKind::kChainReject, 0, 0, 0, 0, 1, 1},
+        StoreCase{"rect_at_negative_origin_rejects",
+                  {dense(1, 0, PixelRect{-1, 0, 4, 6}, false)},
+                  CommitKind::kChainReject, 0, 0, 0, 0, 1, 1},
+        StoreCase{"rect_larger_than_missing_area_rejects",
+                  {dense(1, 0, kLeft, true), dense(2, 0, kWhole, false)},
+                  CommitKind::kChainReject, 1, 0, 0, 0, 1, 1}),
+    [](const ::testing::TestParamInfo<StoreCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // -- End-to-end identity: the standing gate ---------------------------------
 
