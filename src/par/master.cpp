@@ -7,12 +7,42 @@
 
 namespace now {
 
+namespace {
+
+/// Frames [first, end) of `task` as a new task with id `task_id`.
+RenderTask sub_task(const RenderTask& task, std::int32_t task_id,
+                    std::int32_t first, std::int32_t end) {
+  RenderTask out;
+  out.task_id = task_id;
+  out.region = task.region;
+  out.first_frame = first;
+  out.frame_count = end - first;
+  out.scene_id = task.scene_id;
+  out.frame_delta = task.frame_delta;
+  return out;
+}
+
+/// Call fn(f, b) for each maximal run [f, b) of frames in [lo, hi) where
+/// keep(frame) holds.
+template <typename Keep, typename Fn>
+void for_each_run(int lo, int hi, const Keep& keep, const Fn& fn) {
+  int f = lo;
+  while (f < hi) {
+    int b = f;
+    while (b < hi && keep(b)) ++b;
+    if (b > f) fn(f, b);
+    f = std::max(b, f + 1);
+  }
+}
+
+}  // namespace
+
 RenderMaster::RenderMaster(const AnimatedScene& scene,
                            const MasterConfig& config)
     : scene_(scene),
       config_(config),
-      straggler_(config.straggler),
-      service_(config.service.enabled) {
+      queue_(config.metrics),
+      straggler_(config.straggler) {
   if (config_.tracer != nullptr && !config_.tracer->enabled()) {
     config_.tracer = nullptr;
   }
@@ -26,9 +56,10 @@ RenderMaster::RenderMaster(const AnimatedScene& scene,
 }
 
 void RenderMaster::on_start(Context& ctx) {
-  // Service mode starts with an *empty* frame space: shots grow it at
+  // A service starts with an *empty* frame space: shots grow it at
   // admission time, so there is nothing to partition or restore here.
-  const int frames = service_ ? 0 : scene_.frame_count();
+  const bool solo = config_.service.client_count == 0;
+  const int frames = solo ? scene_.frame_count() : 0;
   const int w = scene_.width();
   const int h = scene_.height();
   const bool sharded = config_.shards.sharded();
@@ -39,11 +70,10 @@ void RenderMaster::on_start(Context& ctx) {
   // ShotClient actors instead, excluded the same way.
   const int worker_count =
       sharded ? config_.shards.worker_count
-              : ctx.world_size() - 1 -
-                    (service_ ? config_.service.client_count : 0);
+              : ctx.world_size() - 1 - config_.service.client_count;
   assert(worker_count >= 1);
   assert(!sharded || ctx.world_size() == config_.shards.world_size());
-  assert(!service_ || (!sharded && config_.recovery == nullptr));
+  assert(solo || (!sharded && config_.recovery == nullptr));
   workers_.assign(static_cast<std::size_t>(worker_count) + 1, {});
   report_.frames_by_worker.assign(static_cast<std::size_t>(worker_count) + 1,
                                   0);
@@ -75,64 +105,36 @@ void RenderMaster::on_start(Context& ctx) {
                               {{"frames", report_.frames_restored}});
     }
   }
-  // Sequence-division tasks should not straddle camera cuts: a shot change
-  // forces a full re-render anyway, so cuts are free task boundaries
-  // ("any camera movement logically separates one sequence from another").
-  PartitionConfig partition = config_.partition;
-  if (partition.scheme == PartitionScheme::kSequenceDivision &&
-      partition.sequence_cuts.empty()) {
-    for (const AnimatedScene::Shot& shot : scene_.split_shots()) {
-      if (shot.first_frame > 0) {
-        partition.sequence_cuts.push_back(shot.first_frame);
-      }
-    }
-  }
-  std::int64_t covered = 0;
-  const auto enqueue = [&](std::vector<RenderTask> tasks, int frame_offset) {
-    for (RenderTask& task : tasks) {
-      task.task_id = next_task_id_++;
-      task.first_frame += frame_offset;
-      covered +=
-          static_cast<std::int64_t>(task.region.area()) * task.frame_count;
-      pending_.push_back(task);
-    }
-  };
-  if (service_) {
-    // Shots arrive over the job queue; each admission partitions its own
-    // frame range into the shot's private queue (handle_shot_submit).
-  } else if (config_.recovery != nullptr &&
-             config_.recovery->last_checkpoint.has_value()) {
-    // A scheduler checkpoint survived: resume the compacted task table
-    // instead of re-partitioning. Its tasks cover the incomplete remainder
-    // as a superset (reclaim overlap is gated away at commit), so the exact
-    // tiling assertion below does not apply to this path.
-    restore_from_checkpoint(ctx, restored);
-  } else {
-    if (report_.frames_restored == 0) {
-      enqueue(make_initial_tasks(partition, w, h, frames, worker_count), 0);
+  // A solo render is one tenant-less shot over the whole animation.
+  if (solo) {
+    ShotQueue::Shot shot;
+    shot.frame_count = frames;
+    if (config_.recovery != nullptr &&
+        config_.recovery->last_checkpoint.has_value()) {
+      // A scheduler checkpoint survived: resume the compacted task table
+      // instead of re-partitioning. Its tasks cover the incomplete
+      // remainder as a superset (reclaim overlap is gated away at commit),
+      // so the exact tiling assertion below does not apply to this path.
+      queue_.admit(shot, {});
+      restore_from_checkpoint(ctx, restored);
     } else {
-      // Partition each maximal run of incomplete frames independently; cuts
-      // are shifted into run-local frame numbers. A task's first frame is a
-      // dense render anyway, so restored frames are free task boundaries.
-      int f = 0;
-      while (f < frames) {
-        if (restored[f]) {
-          ++f;
-          continue;
-        }
-        int b = f;
-        while (b < frames && !restored[b]) ++b;
-        PartitionConfig run = partition;
-        run.sequence_cuts.clear();
-        for (const int cut : partition.sequence_cuts) {
-          if (cut > f && cut < b) run.sequence_cuts.push_back(cut - f);
-        }
-        enqueue(make_initial_tasks(run, w, h, b - f, worker_count), f);
-        f = b;
-      }
+      // Partition each maximal run of incomplete frames independently. A
+      // task's first frame is a dense render anyway, so restored frames
+      // are free task boundaries.
+      std::vector<RenderTask> tasks;
+      for_each_run(
+          0, frames, [&](int f) { return !restored[f]; },
+          [&](int f, int b) {
+            for (RenderTask& task : partition_range(scene_, f, b - f)) {
+              task.task_id = next_task_id_++;
+              task.first_frame += f;
+              tasks.push_back(task);
+            }
+          });
+      [[maybe_unused]] const int sid = queue_.admit(shot, std::move(tasks));
+      assert(queue_.shots()[sid].units_total == area_frames_missing_ &&
+             "tasks must tile area × frames");
     }
-    assert(covered == area_frames_missing_ &&
-           "tasks must tile area × frames");
   }
 
   FrameSinkConfig sink;
@@ -141,13 +143,7 @@ void RenderMaster::on_start(Context& ctx) {
     // journal-only (header + checkpoint records).
     sink.output_dir = config_.output_dir;
     sink.output_prefix = config_.output_prefix;
-  }
-  if (service_ && !config_.output_dir.empty()) {
-    // Per-shot output namespacing: a tenant's frames land under its own
-    // name, numbered in the shot's scene-local frame space.
-    sink.frame_path = [this](std::int32_t frame) {
-      return service_frame_path(frame);
-    };
+    sink.frame_path = [this](std::int32_t frame) { return frame_path(frame); };
   }
   sink.journal_path = config_.journal_path;
   sink.journal_fsync = config_.journal_fsync;
@@ -206,7 +202,7 @@ void RenderMaster::on_start(Context& ctx) {
     ctx.send_after(config_.sample_interval_seconds, kTagSampleTick, {});
   }
   if (queue_depth_ != nullptr) {
-    queue_depth_->set(static_cast<double>(pending_.size()));
+    queue_depth_->set(static_cast<double>(queue_.depth()));
   }
 }
 
@@ -330,21 +326,26 @@ void RenderMaster::handle_idle(Context& ctx, int worker, bool hello) {
     // (e.g. the task's final frame result): write it off and re-enqueue.
     cancel_and_reclaim(ctx, worker);
   }
+  make_idle(worker);
+  try_dispatch(ctx);
+  maybe_finish(ctx);
+}
+
+void RenderMaster::make_idle(int worker) {
+  WorkerState& s = workers_[worker];
   release_assignment(worker);
-  state.active = false;
-  state.cancelled = false;
-  state.request_pending = false;
-  state.deferred_frames.clear();
+  s.active = false;
+  s.cancelled = false;
+  s.request_pending = false;
+  s.deferred_frames.clear();
   // A worker asking for work has no task left to shrink; a shrink ack still
   // in flight (e.g. the shrink reached a rank that crashed and rejoined)
   // will arrive with nothing to steal and is harmless.
-  state.awaiting_ack = false;
-  if (!state.queued) {
-    state.queued = true;
+  s.awaiting_ack = false;
+  if (!s.queued) {
+    s.queued = true;
     idle_.push_back(worker);
   }
-  try_dispatch(ctx);
-  maybe_finish(ctx);
 }
 
 void RenderMaster::assign(Context& ctx, int worker, RenderTask task) {
@@ -401,10 +402,6 @@ bool RenderMaster::task_fully_committed(const RenderTask& task) const {
 }
 
 void RenderMaster::try_dispatch(Context& ctx) {
-  if (service_) {
-    service_dispatch(ctx);
-    return;
-  }
   while (!idle_.empty()) {
     const int worker = idle_.front();
     if (workers_[worker].dead) {
@@ -412,33 +409,17 @@ void RenderMaster::try_dispatch(Context& ctx) {
       workers_[worker].queued = false;
       continue;
     }
-    // Scan for the first dispatchable task. A speculation winner (or an
-    // overlap from reclaim) may have covered a task entirely while it
-    // waited: drop it instead of paying a worker to render duplicates. A
-    // task touching a dead shard's frames stays queued — its results would
-    // be lost — until the replacement shard re-admits.
-    bool dispatched = false;
-    bool held = false;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (task_fully_committed(*it)) {
-        it = pending_.erase(it);
-        continue;
-      }
-      if (task_blocked_by_dead_shard(*it)) {
-        held = true;
-        ++it;
-        continue;
-      }
-      const RenderTask task = *it;
-      pending_.erase(it);
+    const ShotQueue::Pick pick = queue_.next(committed_, blocked_);
+    if (pick.kind == ShotQueue::PickKind::kTask) {
       idle_.pop_front();
       workers_[worker].queued = false;
-      assign(ctx, worker, task);
-      dispatched = true;
-      break;
+      charge_tenant(ctx, worker, pick);
+      assign(ctx, worker, pick.task);
+      continue;
     }
-    if (dispatched) continue;
-    if (held) break;  // work exists, but its shard is down: wait for rejoin
+    // Work exists, but it touches a dead shard's frames (its results would
+    // be lost): wait for the replacement shard to re-admit.
+    if (pick.kind == ShotQueue::PickKind::kHeld) break;
     if (config_.partition.adaptive && try_adaptive_split(ctx)) {
       // A split is in flight; idle workers wait for the ack.
       break;
@@ -446,8 +427,9 @@ void RenderMaster::try_dispatch(Context& ctx) {
     if (config_.speculate && try_speculate(ctx)) continue;
     break;
   }
+  preempt_if_backlogged(ctx);
   if (queue_depth_ != nullptr) {
-    queue_depth_->set(static_cast<double>(pending_.size()));
+    queue_depth_->set(static_cast<double>(queue_.depth()));
   }
 }
 
@@ -466,49 +448,20 @@ bool RenderMaster::try_speculate(Context& ctx) {
   }
   if (active_tasks == 0 || idle_live <= active_tasks) return false;
 
-  // Victim: the active worker expected to hold the end-game longest, not
-  // mid-shrink, and not already paired (one speculative copy per task).
-  // Expected cost is remaining frames × the worker's EWMA per-frame render
-  // time from the straggler detector, so a rank that has been consistently
-  // slow is duplicated ahead of one that merely holds more frames. With no
-  // samples yet every worker scores at the fleet mean and this reduces to
-  // the old most-remaining rule.
-  int victim = -1;
-  std::int32_t best_remaining = 0;
-  double best_score = 0.0;
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    const WorkerState& s = workers_[w];
-    if (!s.active || s.awaiting_ack || s.dead || s.cancelled) continue;
-    if (spec_partner_.count(s.task.task_id) > 0) continue;
-    const std::int32_t remaining = s.end_frame - s.next_expected;
-    if (remaining < 1) continue;
-    const double score = remaining * straggler_.expected_seconds(w);
-    if (score > best_score) {
-      best_score = score;
-      best_remaining = remaining;
-      victim = w;
-    }
-  }
-  if (victim < 0 || best_remaining < 1) return false;
+  // Victim: the worker expected to hold the end-game longest. Expected cost
+  // is remaining frames × the worker's EWMA per-frame render time from the
+  // straggler detector, so a rank that has been consistently slow is
+  // duplicated ahead of one that merely holds more frames. With no samples
+  // yet every worker scores at the fleet mean and this reduces to the old
+  // most-remaining rule.
+  const int victim = split_victim(/*by_expected_time=*/true);
+  if (victim < 0) return false;
 
+  // Clones are speculative, not admitted work: they stay uncharged against
+  // the tenant's quota and are the first thing backlog preemption dissolves.
   const WorkerState& vs = workers_[victim];
-  RenderTask clone;
-  clone.task_id = next_task_id_++;
-  clone.region = vs.task.region;
-  clone.first_frame = vs.next_expected;
-  clone.frame_count = vs.end_frame - vs.next_expected;
-  clone.scene_id = vs.task.scene_id;
-  clone.frame_delta = vs.task.frame_delta;
-  if (service_) {
-    // Clones are speculative, not admitted work: they stay uncharged
-    // against the tenant's quota and are the first thing backlog
-    // preemption dissolves.
-    const auto shot_it = task_shot_.find(vs.task.task_id);
-    if (shot_it != task_shot_.end()) {
-      task_shot_[clone.task_id] = shot_it->second;
-    }
-    spec_clone_tasks_.insert(clone.task_id);
-  }
+  const RenderTask clone =
+      sub_task(vs.task, next_task_id_++, vs.next_expected, vs.end_frame);
   spec_partner_[clone.task_id] = vs.task.task_id;
   spec_partner_[vs.task.task_id] = clone.task_id;
   spec_tasks_.insert(clone.task_id);
@@ -545,48 +498,48 @@ void RenderMaster::finish_speculation(Context& ctx, std::int32_t winner_task,
       continue;
     }
     s.end_frame = std::min(s.end_frame, s.next_expected);
-    if (!s.awaiting_ack) {
-      ShrinkRequest req;
-      req.task_id = loser_task;
-      req.new_end_frame = s.next_expected;
-      s.awaiting_ack = true;
-      ctx.send(w, kTagShrink, encode_shrink(req));
-    }
+    if (!s.awaiting_ack) shrink(ctx, w, s.next_expected);
     break;
   }
 }
 
-bool RenderMaster::try_adaptive_split(Context& ctx) {
-  // Victim: the active worker with the most unreported frames remaining.
+int RenderMaster::split_victim(bool by_expected_time) const {
   int victim = -1;
-  std::int32_t best_remaining = 0;
+  double best_score = 0.0;
   for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
     const WorkerState& s = workers_[w];
     if (!s.active || s.awaiting_ack || s.dead || s.cancelled) continue;
     // A paired task's remainder is already being rendered twice; splitting
-    // it a third way only manufactures duplicates.
+    // or cloning it again only manufactures duplicates.
     if (spec_partner_.count(s.task.task_id) > 0) continue;
     const std::int32_t remaining = s.end_frame - s.next_expected;
-    if (remaining > best_remaining) {
-      best_remaining = remaining;
+    if (remaining < 1) continue;
+    const double score =
+        by_expected_time ? remaining * straggler_.expected_seconds(w)
+                         : static_cast<double>(remaining);
+    if (score > best_score) {
+      best_score = score;
       victim = w;
     }
   }
-  if (victim < 0 || best_remaining < config_.partition.min_split_frames) {
-    return false;
-  }
-  WorkerState& s = workers_[victim];
-  ShrinkRequest req;
-  req.task_id = s.task.task_id;
-  req.new_end_frame = s.end_frame - best_remaining / 2;
-  s.awaiting_ack = true;
+  return victim;
+}
+
+bool RenderMaster::try_adaptive_split(Context& ctx) {
+  // Victim: the active worker with the most unreported frames remaining.
+  const int victim = split_victim(/*by_expected_time=*/false);
+  if (victim < 0) return false;
+  const WorkerState& s = workers_[victim];
+  const std::int32_t remaining = s.end_frame - s.next_expected;
+  if (remaining < config_.partition.min_split_frames) return false;
+  const std::int32_t new_end = s.end_frame - remaining / 2;
   if (config_.tracer != nullptr) {
     config_.tracer->instant(ctx.rank(), "sched", "task.shrink", ctx.now(),
                             {{"victim", victim},
-                             {"task", req.task_id},
-                             {"new_end_frame", req.new_end_frame}});
+                             {"task", s.task.task_id},
+                             {"new_end_frame", new_end}});
   }
-  ctx.send(victim, kTagShrink, encode_shrink(req));
+  shrink(ctx, victim, new_end);
   return true;
 }
 
@@ -607,13 +560,8 @@ void RenderMaster::handle_shrink_ack(Context& ctx, const Message& msg) {
       s.task.task_id == ack.task_id &&
       ack.honored_end_frame < s.end_frame) {
     // The stolen range becomes a fresh task for an idle worker.
-    RenderTask stolen;
-    stolen.task_id = next_task_id_++;
-    stolen.region = s.task.region;
-    stolen.first_frame = ack.honored_end_frame;
-    stolen.frame_count = s.end_frame - ack.honored_end_frame;
-    stolen.scene_id = s.task.scene_id;
-    stolen.frame_delta = s.task.frame_delta;
+    const RenderTask stolen = sub_task(s.task, next_task_id_++,
+                                       ack.honored_end_frame, s.end_frame);
     s.end_frame = ack.honored_end_frame;
     if (config_.tracer != nullptr) {
       config_.tracer->instant(ctx.rank(), "sched", "task.split", ctx.now(),
@@ -622,20 +570,9 @@ void RenderMaster::handle_shrink_ack(Context& ctx, const Message& msg) {
                                {"first_frame", stolen.first_frame},
                                {"frames", stolen.frame_count}});
     }
-    if (service_) {
-      // Stolen work stays in its shot's queue; a shot cancelled while the
-      // shrink was in flight drops the range (its area is written off).
-      const auto shot_it = task_shot_.find(s.task.task_id);
-      const int sid = shot_it != task_shot_.end() ? shot_it->second : -1;
-      if (sid >= 0 && shots_[sid].phase == ShotPhase::kActive) {
-        task_shot_[stolen.task_id] = sid;
-        shots_[sid].queue.push_back(stolen);
-        ++report_.adaptive_splits;
-      }
-    } else {
-      pending_.push_back(stolen);
-      ++report_.adaptive_splits;
-    }
+    // Stolen work stays in its shot; a shot cancelled while the shrink was
+    // in flight drops the range (its area is written off).
+    if (queue_.requeue(stolen)) ++report_.adaptive_splits;
   }
   try_dispatch(ctx);
   maybe_finish(ctx);
@@ -667,36 +604,18 @@ void RenderMaster::handle_task_nack(Context& ctx, const Message& msg) {
                              {"task", nack.task_id}});
   }
   if (s.end_frame > s.task.first_frame) {
-    RenderTask requeue = s.task;
-    requeue.frame_count = s.end_frame - s.task.first_frame;
-    if (service_) {
-      const auto shot_it = task_shot_.find(requeue.task_id);
-      const int sid = shot_it != task_shot_.end() ? shot_it->second : -1;
-      if (sid >= 0 && shots_[sid].phase == ShotPhase::kActive) {
-        shots_[sid].queue.push_back(requeue);
-      }
-    } else {
-      pending_.push_back(requeue);
-    }
+    queue_.requeue(
+        sub_task(s.task, s.task.task_id, s.task.first_frame, s.end_frame));
   }
   try_dispatch(ctx);
   maybe_finish(ctx);
 }
 
 void RenderMaster::release_pending_request(Context& ctx, int worker) {
-  WorkerState& s = workers_[worker];
-  if (!s.request_pending) return;
+  if (!workers_[worker].request_pending) return;
   // The parked kTagRequest finally has its digest chain complete: run the
   // idle transition it was waiting for.
-  s.request_pending = false;
-  s.active = false;
-  s.cancelled = false;
-  s.awaiting_ack = false;
-  s.deferred_frames.clear();
-  if (!s.queued) {
-    s.queued = true;
-    idle_.push_back(worker);
-  }
+  make_idle(worker);
   try_dispatch(ctx);
 }
 
@@ -822,47 +741,28 @@ void RenderMaster::apply_digest(Context& ctx, const CommitDigest& d) {
 
 void RenderMaster::advance_worker(Context& ctx, const CommitDigest& d) {
   WorkerState& s = workers_[d.worker];
-  if (d.kind == CommitKind::kChainReject) {
-    // The store saw a gap (or a malformed result) in this task's chain:
-    // write the task off, reclaim the remainder, tell the worker to stop.
-    if (!s.dead && s.active && !s.cancelled && s.task.task_id == d.task_id &&
-        cancelled_tasks_.count(d.task_id) == 0) {
-      cancel_and_reclaim(ctx, d.worker);
-      if (s.active && !s.awaiting_ack) {
-        ShrinkRequest req;
-        req.task_id = d.task_id;
-        req.new_end_frame = s.next_expected;
-        s.awaiting_ack = true;
-        ctx.send(d.worker, kTagShrink, encode_shrink(req));
-      }
-      try_dispatch(ctx);
-    }
-    return;
-  }
   if (s.dead || cancelled_tasks_.count(d.task_id) > 0 || !s.active ||
-      s.cancelled || s.task.task_id != d.task_id ||
-      d.frame < s.next_expected) {
-    // Progress for an assignment that no longer exists (or a frame the
-    // chain already passed): the global accounting was the whole story.
+      s.cancelled || s.task.task_id != d.task_id) {
+    // Progress for an assignment that no longer exists: the global
+    // accounting was the whole story.
     return;
   }
+  // The store saw a gap (or a malformed result) in this task's chain, or
+  // the gap is within one store's digest stream — per-sender FIFO holds on
+  // the worker→store and shard→scheduler edges, so the missing frame was
+  // genuinely lost. Either way: write the task off, reclaim the remainder,
+  // tell the worker to stop.
+  if (d.kind == CommitKind::kChainReject ||
+      (d.frame > s.next_expected &&
+       config_.shards.shard_of(d.frame) ==
+           config_.shards.shard_of(s.next_expected))) {
+    write_off(ctx, d.worker);
+    try_dispatch(ctx);
+    return;
+  }
+  // A frame the chain already passed.
+  if (d.frame < s.next_expected) return;
   if (d.frame > s.next_expected) {
-    if (config_.shards.shard_of(d.frame) ==
-        config_.shards.shard_of(s.next_expected)) {
-      // Gap within one store's digest stream. Per-sender FIFO holds on the
-      // worker→store and shard→scheduler edges, so the missing frame was
-      // genuinely lost: cancel and reclaim.
-      cancel_and_reclaim(ctx, d.worker);
-      if (s.active && !s.awaiting_ack) {
-        ShrinkRequest req;
-        req.task_id = d.task_id;
-        req.new_end_frame = s.next_expected;
-        s.awaiting_ack = true;
-        ctx.send(d.worker, kTagShrink, encode_shrink(req));
-      }
-      try_dispatch(ctx);
-      return;
-    }
     // Cross-shard reordering: a later-owned frame's digest overtook an
     // earlier shard's. Hold it; the chain drains it on catch-up.
     s.deferred_frames.insert(d.frame);
@@ -889,19 +789,21 @@ void RenderMaster::advance_worker(Context& ctx, const CommitDigest& d) {
 
 void RenderMaster::note_frame_complete(Context& ctx, std::int32_t frame) {
   ++report_.frames_completed;
-  if (!service_) return;
-  const int sid = shot_of_frame(frame);
-  assert(sid >= 0 && "completed frame belongs to no shot");
-  if (sid < 0) return;
-  Shot& shot = shots_[sid];
-  ++shot.frames_done;
-  Tenant& tenant = tenants_[shot.tenant];
-  ++tenant.frames_committed;
-  if (tenant.frames_counter != nullptr) tenant.frames_counter->inc();
-  if (shot.phase == ShotPhase::kActive &&
-      shot.frames_done >= shot.frame_count) {
-    finish_shot(ctx, shot);
+  const int finished = queue_.credit_frame(frame);
+  if (finished < 0) return;
+  // That was the last frame of a tenant's shot: report it done.
+  const ShotQueue::Shot& shot = queue_.shots()[finished];
+  ++report_.shots_completed;
+  if (config_.tracer != nullptr) {
+    config_.tracer->instant(ctx.rank(), "sched", "shot.done", ctx.now(),
+                            {{"shot", shot.shot_id},
+                             {"frames", shot.frame_count}});
   }
+  ShotUpdate update;
+  update.shot_id = shot.shot_id;
+  update.phase = ShotPhase::kDone;
+  update.frames_done = shot.frames_done;
+  ctx.send(shot.client_rank, kTagShotUpdate, encode_shot_update(update));
 }
 
 void RenderMaster::checkpoint_if_due() {
@@ -919,7 +821,7 @@ void RenderMaster::write_checkpoint() {
   for (std::size_t f = 0; f < frame_area_missing_.size(); ++f) {
     cp.completed[f] = frame_area_missing_[f] == 0;
   }
-  for (const RenderTask& t : pending_) {
+  for (const RenderTask& t : queue_.tasks()) {
     CheckpointRecord::Task task;
     task.task_id = t.task_id;
     task.rect = t.region;
@@ -978,57 +880,49 @@ void RenderMaster::cancel_and_reclaim(Context& ctx, int worker) {
     spec_partner_.erase(s.task.task_id);
   }
   if (s.end_frame > s.next_expected) {
-    // Service mode: a reclaim belongs to the owning shot's queue, and a
-    // shot already past kActive has had its remaining area written off —
-    // reclaiming it would enqueue work nobody is waiting for.
-    int sid = -1;
-    if (service_) {
-      const auto shot_it = task_shot_.find(s.task.task_id);
-      sid = shot_it != task_shot_.end() ? shot_it->second : -1;
-      if (sid >= 0 && shots_[sid].phase != ShotPhase::kActive) sid = -1;
-    }
-    if (!service_ || sid >= 0) {
-      RenderTask reclaim;
-      reclaim.task_id = next_task_id_++;
-      reclaim.region = s.task.region;
-      reclaim.first_frame = s.next_expected;
-      reclaim.frame_count = s.end_frame - s.next_expected;
-      reclaim.scene_id = s.task.scene_id;
-      reclaim.frame_delta = s.task.frame_delta;
-      reassigned_tasks_.insert(reclaim.task_id);
-      if (config_.tracer != nullptr) {
-        config_.tracer->instant(ctx.rank(), "sched", "task.reclaim",
-                                ctx.now(),
-                                {{"worker", worker},
-                                 {"task", reclaim.task_id},
-                                 {"first_frame", reclaim.first_frame},
-                                 {"frames", reclaim.frame_count}});
-      }
-      if (service_) {
-        task_shot_[reclaim.task_id] = sid;
-        shots_[sid].queue.push_back(reclaim);
-      } else {
-        pending_.push_back(reclaim);
-      }
-      ++fault_report_.tasks_reassigned;
-      fault_report_.frames_reassigned += reclaim.frame_count;
-    }
+    requeue_reclaim(
+        ctx, sub_task(s.task, -1, s.next_expected, s.end_frame), worker);
   }
   // Digests for the written-off range are moot; a parked request completes
   // its idle transition now (every caller follows with try_dispatch, and a
   // rank declared dead right after this is skipped by the dispatch loop).
   s.deferred_frames.clear();
-  if (s.request_pending) {
-    s.request_pending = false;
-    s.active = false;
-    s.cancelled = false;
-    s.awaiting_ack = false;
-    if (!s.queued) {
-      s.queued = true;
-      idle_.push_back(worker);
-    }
+  if (s.request_pending) make_idle(worker);
+}
+
+void RenderMaster::write_off(Context& ctx, int worker) {
+  cancel_and_reclaim(ctx, worker);
+  const WorkerState& s = workers_[worker];
+  if (s.active && !s.awaiting_ack) shrink(ctx, worker, s.next_expected);
+}
+
+void RenderMaster::shrink(Context& ctx, int worker, std::int32_t new_end) {
+  WorkerState& s = workers_[worker];
+  ShrinkRequest req;
+  req.task_id = s.task.task_id;
+  req.new_end_frame = new_end;
+  s.awaiting_ack = true;
+  ctx.send(worker, kTagShrink, encode_shrink(req));
+}
+
+void RenderMaster::requeue_reclaim(Context& ctx, RenderTask reclaim,
+                                   int worker) {
+  // A shot already past kActive has had its remaining area written off:
+  // reclaiming into it would enqueue work nobody is waiting for.
+  reclaim.task_id = next_task_id_;
+  if (!queue_.requeue(reclaim)) return;
+  ++next_task_id_;
+  reassigned_tasks_.insert(reclaim.task_id);
+  if (config_.tracer != nullptr) {
+    std::vector<TraceEvent::Arg> args{{"task", reclaim.task_id},
+                                      {"first_frame", reclaim.first_frame},
+                                      {"frames", reclaim.frame_count}};
+    if (worker >= 0) args.insert(args.begin(), {"worker", worker});
+    config_.tracer->instant(ctx.rank(), "sched", "task.reclaim", ctx.now(),
+                            std::move(args));
   }
-  (void)ctx;
+  ++fault_report_.tasks_reassigned;
+  fault_report_.frames_reassigned += reclaim.frame_count;
 }
 
 void RenderMaster::declare_dead(Context& ctx, int worker) {
@@ -1108,14 +1002,7 @@ void RenderMaster::handle_lease_check(Context& ctx, const Message& msg) {
     // task off — it will be re-rendered from a dense restart — and tell the
     // worker to abandon any rendering it is silently doing. If it is truly
     // idle (the assignment itself was lost) it rejoins on its next request.
-    cancel_and_reclaim(ctx, check.worker);
-    if (!s.awaiting_ack) {
-      ShrinkRequest req;
-      req.task_id = check.task_id;
-      req.new_end_frame = s.next_expected;
-      s.awaiting_ack = true;
-      ctx.send(check.worker, kTagShrink, encode_shrink(req));
-    }
+    write_off(ctx, check.worker);
     try_dispatch(ctx);
     maybe_finish(ctx);
     return;
@@ -1220,14 +1107,7 @@ void RenderMaster::rollback_dead_shard(Context& ctx, int shard) {
     WorkerState& s = workers_[w];
     if (s.dead || !s.active || s.cancelled) continue;
     if (s.next_expected < range.second && s.end_frame > range.first) {
-      cancel_and_reclaim(ctx, w);
-      if (s.active && !s.awaiting_ack) {
-        ShrinkRequest req;
-        req.task_id = s.task.task_id;
-        req.new_end_frame = s.next_expected;
-        s.awaiting_ack = true;
-        ctx.send(w, kTagShrink, encode_shrink(req));
-      }
+      write_off(ctx, w);
     }
   }
 }
@@ -1236,37 +1116,14 @@ void RenderMaster::enqueue_lost_cells(
     Context& ctx,
     const std::map<std::uint64_t, std::pair<PixelRect, std::set<int>>>&
         lost) {
-  for (const auto& kv : lost) {
-    const PixelRect& rect = kv.second.first;
-    const std::set<int>& frames = kv.second.second;
-    auto it = frames.begin();
-    while (it != frames.end()) {
-      const int first = *it;
-      int last = first;
-      auto run_end = it;
-      ++run_end;
-      while (run_end != frames.end() && *run_end == last + 1) {
-        last = *run_end;
-        ++run_end;
-      }
-      RenderTask reclaim;
-      reclaim.task_id = next_task_id_++;
-      reclaim.region = rect;
-      reclaim.first_frame = first;
-      reclaim.frame_count = last - first + 1;
-      reassigned_tasks_.insert(reclaim.task_id);
-      if (config_.tracer != nullptr) {
-        config_.tracer->instant(ctx.rank(), "sched", "task.reclaim",
-                                ctx.now(),
-                                {{"task", reclaim.task_id},
-                                 {"first_frame", reclaim.first_frame},
-                                 {"frames", reclaim.frame_count}});
-      }
-      pending_.push_back(reclaim);
-      ++fault_report_.tasks_reassigned;
-      fault_report_.frames_reassigned += reclaim.frame_count;
-      it = run_end;
-    }
+  for (const auto& [key, cells] : lost) {
+    const auto& [rect, frames] = cells;
+    for_each_run(
+        *frames.begin(), *frames.rbegin() + 1,
+        [&](int f) { return frames.count(f) > 0; },
+        [&](int f, int b) {
+          requeue_reclaim(ctx, {-1, rect, f, b - f}, /*worker=*/-1);
+        });
   }
 }
 
@@ -1380,27 +1237,23 @@ void RenderMaster::restore_from_checkpoint(Context& ctx,
   }
 
   int tasks_restored = 0;
+  const auto enqueue = [&](const PixelRect& rect, bool recovery_restart,
+                           int f, int b) {
+    RenderTask task;
+    task.task_id = next_task_id_++;
+    task.region = rect;
+    task.first_frame = f;
+    task.frame_count = b - f;
+    if (recovery_restart) reassigned_tasks_.insert(task.task_id);
+    queue_.requeue(task);
+    ++tasks_restored;
+  };
   const auto enqueue_trimmed = [&](const PixelRect& rect, int first, int end,
                                    bool recovery_restart) {
-    int f = std::max(first, 0);
-    end = std::min(end, frames);
-    while (f < end) {
-      if (restored[f] || wholesale[f]) {
-        ++f;
-        continue;
-      }
-      int b = f;
-      while (b < end && !restored[b] && !wholesale[b]) ++b;
-      RenderTask task;
-      task.task_id = next_task_id_++;
-      task.region = rect;
-      task.first_frame = f;
-      task.frame_count = b - f;
-      if (recovery_restart) reassigned_tasks_.insert(task.task_id);
-      pending_.push_back(task);
-      ++tasks_restored;
-      f = b;
-    }
+    for_each_run(
+        std::max(first, 0), std::min(end, frames),
+        [&](int f) { return !restored[f] && !wholesale[f]; },
+        [&](int f, int b) { enqueue(rect, recovery_restart, f, b); });
   };
   for (const CheckpointRecord::Task& t : ck.pending) {
     enqueue_trimmed(t.rect, t.first_frame, t.first_frame + t.frame_count,
@@ -1425,29 +1278,10 @@ void RenderMaster::restore_from_checkpoint(Context& ctx,
   enqueue_lost_cells(ctx, lost);
   // Wholesale frames re-render as full-image tasks over contiguous runs;
   // their first frame is a dense coherence restart like any fresh task.
-  PixelRect whole;
-  whole.x0 = 0;
-  whole.y0 = 0;
-  whole.width = scene_.width();
-  whole.height = scene_.height();
-  int wf = 0;
-  while (wf < frames) {
-    if (!wholesale[wf]) {
-      ++wf;
-      continue;
-    }
-    int b = wf;
-    while (b < frames && wholesale[b]) ++b;
-    RenderTask task;
-    task.task_id = next_task_id_++;
-    task.region = whole;
-    task.first_frame = wf;
-    task.frame_count = b - wf;
-    reassigned_tasks_.insert(task.task_id);
-    pending_.push_back(task);
-    ++tasks_restored;
-    wf = b;
-  }
+  const PixelRect whole{0, 0, scene_.width(), scene_.height()};
+  for_each_run(
+      0, frames, [&](int f) { return wholesale[f] != 0; },
+      [&](int f, int b) { enqueue(whole, /*recovery_restart=*/true, f, b); });
   if (config_.tracer != nullptr) {
     config_.tracer->instant(ctx.rank(), "sched", "resume.checkpoint",
                             ctx.now(),
@@ -1490,7 +1324,7 @@ std::string RenderMaster::render_status_json(Context& ctx) const {
   append_json_double(&j, ctx.now());
   j += ", \"stopping\": ";
   j += stopping_ ? "true" : "false";
-  j += ", \"pending_tasks\": " + std::to_string(pending_.size());
+  j += ", \"pending_tasks\": " + std::to_string(queue_.depth());
   j += ", \"frames_completed\": " + std::to_string(report_.frames_completed);
   j += ", \"frame_results\": " + std::to_string(report_.frame_results);
   j += ", \"straggler_flags\": " + std::to_string(report_.straggler_flags);
@@ -1551,37 +1385,36 @@ std::string RenderMaster::render_status_json(Context& ctx) const {
     }
     j += "]";
   }
-  if (service_) {
-    j += ", \"tenants\": [";
-    first = true;
-    for (const Tenant& t : tenants_) {
-      if (!first) j += ", ";
-      first = false;
-      j += "{\"name\": \"" + t.name + "\"";
-      j += ", \"weight\": ";
-      append_json_double(&j, t.weight);
-      j += ", \"quota\": " + std::to_string(t.quota);
-      j += ", \"inflight\": " + std::to_string(t.inflight);
-      j += ", \"tasks_assigned\": " + std::to_string(t.tasks_assigned);
-      j += ", \"units_assigned\": " + std::to_string(t.units_assigned);
-      j += ", \"frames_committed\": " + std::to_string(t.frames_committed);
-      j += "}";
-    }
-    j += "], \"shots\": [";
-    first = true;
-    for (const Shot& s : shots_) {
-      if (!first) j += ", ";
-      first = false;
-      j += "{\"shot\": " + std::to_string(s.shot_id);
-      j += ", \"tenant\": \"" + tenants_[s.tenant].name + "\"";
-      j += ", \"phase\": \"" + std::string(to_string(s.phase)) + "\"";
-      j += ", \"frames_done\": " + std::to_string(s.frames_done);
-      j += ", \"frame_count\": " + std::to_string(s.frame_count);
-      j += ", \"queued_tasks\": " + std::to_string(s.queue.size());
-      j += "}";
-    }
-    j += "]";
+  j += ", \"tenants\": [";
+  first = true;
+  for (const ShotQueue::Tenant& t : queue_.tenants()) {
+    if (!first) j += ", ";
+    first = false;
+    j += "{\"name\": \"" + t.name + "\"";
+    j += ", \"weight\": ";
+    append_json_double(&j, t.weight);
+    j += ", \"quota\": " + std::to_string(t.quota);
+    j += ", \"inflight\": " + std::to_string(t.inflight);
+    j += ", \"tasks_assigned\": " + std::to_string(t.tasks_assigned);
+    j += ", \"units_assigned\": " + std::to_string(t.units_assigned);
+    j += ", \"frames_committed\": " + std::to_string(t.frames_committed);
+    j += "}";
   }
+  j += "], \"shots\": [";
+  first = true;
+  for (const ShotQueue::Shot& s : queue_.shots()) {
+    if (s.tenant_id < 0) continue;  // the solo render's shot
+    if (!first) j += ", ";
+    first = false;
+    j += "{\"shot\": " + std::to_string(s.shot_id);
+    j += ", \"tenant\": \"" + s.tenant + "\"";
+    j += ", \"phase\": \"" + std::string(to_string(s.phase)) + "\"";
+    j += ", \"frames_done\": " + std::to_string(s.frames_done);
+    j += ", \"frame_count\": " + std::to_string(s.frame_count);
+    j += ", \"queued_tasks\": " + std::to_string(s.queue.size());
+    j += "}";
+  }
+  j += "]";
   j += "}\n";
   return j;
 }
@@ -1611,44 +1444,21 @@ void RenderMaster::note_commit(Context& ctx, int worker, std::int32_t task_id,
 }
 
 void RenderMaster::maybe_finish(Context& ctx) {
-  if (service_) {
-    if (stopping_) return;
-    // The service run ends only when every client has declared itself done
-    // (no further submits can arrive), every admitted pixel is committed or
-    // written off, and no active shot still queues real work.
-    if (static_cast<int>(done_clients_.size()) <
-        config_.service.client_count) {
-      return;
-    }
-    if (area_frames_missing_ != 0) return;
-    for (Shot& shot : shots_) {
-      if (shot.phase != ShotPhase::kActive) continue;
-      while (!shot.queue.empty() &&
-             task_fully_committed(shot.queue.front())) {
-        shot.queue.pop_front();
-      }
-      if (!shot.queue.empty()) return;
-    }
-    stopping_ = true;
-    for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-      if (!workers_[w].dead) ctx.send(w, kTagStop, {});
-    }
-    for (int c = 0; c < config_.service.client_count; ++c) {
-      ctx.send(static_cast<int>(workers_.size()) + c, kTagStop, {});
-    }
-    ctx.stop();
+  if (stopping_) return;
+  // The run ends only when every client has declared itself done (no
+  // further submits can arrive), every admitted pixel is committed or
+  // written off, and no active shot still queues real work — anything still
+  // queued (speculation leftovers, reclaim overlap) is duplicate work once
+  // every pixel is committed.
+  if (static_cast<int>(done_clients_.size()) < config_.service.client_count) {
     return;
   }
-  if (stopping_ || area_frames_missing_ != 0) return;
-  // Every pixel is committed, so anything still pending (speculation
-  // leftovers, reclaim overlap) is duplicate work by definition.
-  while (!pending_.empty() && task_fully_committed(pending_.front())) {
-    pending_.pop_front();
-  }
+  if (area_frames_missing_ != 0) return;
+  const bool drained = queue_.drained(committed_);
   if (queue_depth_ != nullptr) {
-    queue_depth_->set(static_cast<double>(pending_.size()));
+    queue_depth_->set(static_cast<double>(queue_.depth()));
   }
-  if (!pending_.empty()) return;
+  if (!drained) return;
   stopping_ = true;
   for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
     if (!workers_[w].dead) ctx.send(w, kTagStop, {});
@@ -1657,6 +1467,9 @@ void RenderMaster::maybe_finish(Context& ctx) {
     for (int i = 0; i < config_.shards.shard_count; ++i) {
       ctx.send(config_.shards.rank_of_shard(i), kTagStop, {});
     }
+  }
+  for (int c = 0; c < config_.service.client_count; ++c) {
+    ctx.send(static_cast<int>(workers_.size()) + c, kTagStop, {});
   }
   ctx.stop();
 }
@@ -1677,51 +1490,39 @@ bool valid_service_name(const std::string& s) {
   return true;
 }
 
-/// Stride-scheduling scale: pass advances by units * kStrideScale / weight
-/// per grant, so a tenant with twice the weight accrues pass half as fast
-/// and receives twice the units over any contended window.
-constexpr double kStrideScale = 65536.0;
-
 }  // namespace
 
-bool RenderMaster::is_client_rank(Context& ctx, int rank) const {
-  (void)ctx;
+bool RenderMaster::is_client_rank(int rank) const {
   const int first = static_cast<int>(workers_.size());
   return rank >= first && rank < first + config_.service.client_count;
 }
 
-int RenderMaster::tenant_for(const std::string& name, double weight,
-                             std::int32_t quota) {
-  const auto it = tenant_ids_.find(name);
-  if (it != tenant_ids_.end()) return it->second;
-  Tenant t;
-  t.name = name;
-  t.weight = weight;
-  t.quota = quota;
-  // A late-arriving tenant starts at the minimum live pass: stride fairness
-  // is forward-looking, never a back-payment that would let a newcomer
-  // monopolize the farm to "catch up" on time before it existed.
-  bool any = false;
-  double min_pass = 0.0;
-  for (const Tenant& other : tenants_) {
-    if (!any || other.pass < min_pass) min_pass = other.pass;
-    any = true;
+std::vector<RenderTask> RenderMaster::partition_range(
+    const AnimatedScene& scene, int first, int count) const {
+  std::vector<int> cuts = config_.partition.sequence_cuts;
+  // Sequence-division tasks should not straddle camera cuts: a shot change
+  // forces a full re-render anyway, so cuts are free task boundaries
+  // ("any camera movement logically separates one sequence from another").
+  if (config_.partition.scheme == PartitionScheme::kSequenceDivision &&
+      cuts.empty()) {
+    for (const AnimatedScene::Shot& shot : scene.split_shots()) {
+      cuts.push_back(shot.first_frame);
+    }
   }
-  t.pass = any ? min_pass : 0.0;
-  if (config_.metrics != nullptr) {
-    t.frames_counter =
-        &config_.metrics->counter("tenant." + name + ".frames_committed");
-    t.assigns_counter =
-        &config_.metrics->counter("tenant." + name + ".tasks_assigned");
+  PartitionConfig partition = config_.partition;
+  partition.sequence_cuts.clear();
+  for (const int cut : cuts) {
+    if (cut > first && cut < first + count) {
+      partition.sequence_cuts.push_back(cut - first);
+    }
   }
-  const int id = static_cast<int>(tenants_.size());
-  tenants_.push_back(std::move(t));
-  tenant_ids_[name] = id;
-  return id;
+  const int worker_count = static_cast<int>(workers_.size()) - 1;
+  return make_initial_tasks(partition, scene.width(), scene.height(), count,
+                            worker_count);
 }
 
 void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
-  if (!service_ || !is_client_rank(ctx, msg.source) || stopping_) return;
+  if (!is_client_rank(msg.source) || stopping_) return;
   const auto reject = [&](std::int32_t ref, const std::string& why) {
     ++report_.shots_rejected;
     if (config_.tracer != nullptr) {
@@ -1775,12 +1576,10 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
 
   const int w = scene_.width();
   const int h = scene_.height();
-  const int shot_id = static_cast<int>(shots_.size());
   const std::int32_t base =
       static_cast<std::int32_t>(frame_area_missing_.size());
-  Shot shot;
-  shot.shot_id = shot_id;
-  shot.tenant = tenant_for(sub.tenant, sub.weight, sub.quota);
+  ShotQueue::Shot shot;
+  shot.tenant_id = queue_.tenant_for(sub.tenant, sub.weight, sub.quota);
   shot.client_rank = msg.source;
   shot.label = sub.label;
   shot.scene_id = sub.scene_id;
@@ -1799,35 +1598,18 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
                           static_cast<std::size_t>(sub.frame_count));
   area_frames_missing_ += std::int64_t{w} * h * sub.frame_count;
 
-  // Partition the shot on its own: camera cuts inside the shot's range are
-  // free task boundaries, shifted into shot-local frame numbers.
-  PartitionConfig partition = config_.partition;
-  if (partition.scheme == PartitionScheme::kSequenceDivision &&
-      partition.sequence_cuts.empty()) {
-    for (const AnimatedScene::Shot& cut : scene.split_shots()) {
-      if (cut.first_frame > sub.first_frame &&
-          cut.first_frame < sub.first_frame + sub.frame_count) {
-        partition.sequence_cuts.push_back(cut.first_frame - sub.first_frame);
-      }
-    }
-  }
-  const int worker_count = static_cast<int>(workers_.size()) - 1;
-  std::int64_t covered = 0;
-  for (RenderTask& task :
-       make_initial_tasks(partition, w, h, sub.frame_count, worker_count)) {
+  std::vector<RenderTask> tasks =
+      partition_range(scene, sub.first_frame, sub.frame_count);
+  for (RenderTask& task : tasks) {
     task.task_id = next_task_id_++;
     task.first_frame += base;
     task.scene_id = sub.scene_id;
     task.frame_delta = sub.first_frame - base;
-    covered +=
-        static_cast<std::int64_t>(task.region.area()) * task.frame_count;
-    task_shot_[task.task_id] = shot_id;
-    shot.queue.push_back(task);
   }
-  assert(covered == std::int64_t{w} * h * sub.frame_count &&
+  const int shot_id = queue_.admit(std::move(shot), std::move(tasks));
+  assert(queue_.shots()[shot_id].units_total ==
+             std::int64_t{w} * h * sub.frame_count &&
          "shot tasks must tile area × frames");
-  shot.units_total = covered;
-  shots_.push_back(std::move(shot));
   ++report_.shots_submitted;
   if (config_.tracer != nullptr) {
     config_.tracer->instant(ctx.rank(), "sched", "shot.admit", ctx.now(),
@@ -1845,13 +1627,14 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
 }
 
 void RenderMaster::handle_shot_status(Context& ctx, const Message& msg) {
-  if (!service_ || !is_client_rank(ctx, msg.source)) return;
+  if (!is_client_rank(msg.source)) return;
   ShotStatusRequest req;
   if (!decode_shot_status_request(&req, msg.payload)) return;
   ShotStatusReply reply;
   reply.shot_id = req.shot_id;
-  if (req.shot_id >= 0 && req.shot_id < static_cast<int>(shots_.size())) {
-    const Shot& shot = shots_[req.shot_id];
+  const std::vector<ShotQueue::Shot>& shots = queue_.shots();
+  if (req.shot_id >= 0 && req.shot_id < static_cast<int>(shots.size())) {
+    const ShotQueue::Shot& shot = shots[req.shot_id];
     reply.known = 1;
     reply.phase = shot.phase;
     reply.frames_done = shot.frames_done;
@@ -1861,14 +1644,14 @@ void RenderMaster::handle_shot_status(Context& ctx, const Message& msg) {
 }
 
 void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
-  if (!service_ || !is_client_rank(ctx, msg.source)) return;
+  if (!is_client_rank(msg.source)) return;
   ShotCancel cancel;
   if (!decode_shot_cancel(&cancel, msg.payload)) return;
   if (cancel.shot_id < 0 ||
-      cancel.shot_id >= static_cast<int>(shots_.size())) {
+      cancel.shot_id >= static_cast<int>(queue_.shots().size())) {
     return;  // unknown id: nothing to cancel, nothing to report
   }
-  Shot& shot = shots_[cancel.shot_id];
+  const ShotQueue::Shot& shot = queue_.shots()[cancel.shot_id];
   if (shot.client_rank != msg.source) return;  // only the submitter
   if (shot.phase != ShotPhase::kActive) {
     // Idempotent: a repeated cancel (or one racing completion) reports the
@@ -1880,44 +1663,23 @@ void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
     ctx.send(msg.source, kTagShotUpdate, encode_shot_update(update));
     return;
   }
-  shot.phase = ShotPhase::kCancelled;
+  queue_.cancel(cancel.shot_id);
   ++report_.shots_cancelled;
   if (config_.tracer != nullptr) {
     config_.tracer->instant(ctx.rank(), "sched", "shot.cancel", ctx.now(),
                             {{"shot", shot.shot_id},
                              {"frames_done", shot.frames_done}});
   }
-  // Queued tasks just vanish; in-flight ones are written off like a lease
-  // expiry — the worker is told to stop, and the store rejects every
-  // result the shot's tasks still send (their frames are written off).
-  for (const auto& [task_id, sid] : task_shot_) {
-    if (sid == cancel.shot_id) store_->reject_task(task_id);
-  }
-  for (const RenderTask& task : shot.queue) {
-    cancelled_tasks_.insert(task.task_id);
-    task_shot_.erase(task.task_id);
-  }
-  shot.queue.clear();
+  // Queued tasks just vanish; in-flight ones are shrunk away like a stuck
+  // lease, and the store rejects every result still sent into the shot's
+  // frames (their area is written off below). The reclaim is refused: the
+  // shot is no longer active.
+  store_->write_off(shot.base_frame, shot.frame_count);
   for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    WorkerState& s = workers_[w];
+    const WorkerState& s = workers_[w];
     if (s.dead || !s.active || s.cancelled) continue;
-    const auto it = task_shot_.find(s.task.task_id);
-    if (it == task_shot_.end() || it->second != cancel.shot_id) continue;
-    release_assignment(w);
-    s.cancelled = true;
-    cancelled_tasks_.insert(s.task.task_id);
-    const auto sp = spec_partner_.find(s.task.task_id);
-    if (sp != spec_partner_.end()) {
-      spec_partner_.erase(sp->second);
-      spec_partner_.erase(s.task.task_id);
-    }
-    if (!s.awaiting_ack) {
-      ShrinkRequest req;
-      req.task_id = s.task.task_id;
-      req.new_end_frame = s.next_expected;
-      s.awaiting_ack = true;
-      ctx.send(w, kTagShrink, encode_shrink(req));
-    }
+    if (queue_.shot_of_frame(s.task.first_frame) != cancel.shot_id) continue;
+    write_off(ctx, w);
   }
   // The dropped pixels will never arrive: write their area off so the run
   // can finish without them. Not counted as completed frames.
@@ -1936,146 +1698,46 @@ void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
 }
 
 void RenderMaster::handle_client_done(Context& ctx, int source) {
-  if (!service_ || !is_client_rank(ctx, source)) return;
+  if (!is_client_rank(source)) return;
   done_clients_.insert(source);
   maybe_finish(ctx);
 }
 
-int RenderMaster::runnable_shot(int tenant) {
-  for (int sid = 0; sid < static_cast<int>(shots_.size()); ++sid) {
-    Shot& shot = shots_[sid];
-    if (shot.tenant != tenant || shot.phase != ShotPhase::kActive) continue;
-    // A speculation winner (or reclaim overlap) may have fully covered the
-    // queue head while it waited: prune rather than pay for duplicates.
-    while (!shot.queue.empty() &&
-           task_fully_committed(shot.queue.front())) {
-      shot.queue.pop_front();
-    }
-    if (!shot.queue.empty()) return sid;
-  }
-  return -1;
-}
-
-int RenderMaster::pick_tenant() {
-  int best = -1;
-  for (int t = 0; t < static_cast<int>(tenants_.size()); ++t) {
-    Tenant& tenant = tenants_[t];
-    if (tenant.quota > 0 && tenant.inflight >= tenant.quota) continue;
-    if (runnable_shot(t) < 0) continue;
-    // Strict < keeps ties on the lowest tenant id: deterministic scan order.
-    if (best < 0 || tenant.pass < tenants_[best].pass) best = t;
-  }
-  // Shot affinity (deficit-round-robin quantum on top of the stride queue):
-  // keep serving the last-served tenant while its pass lead over the
-  // lowest-pass contender stays under one shot's units. Bounded unfairness
-  // — at most one shot's worth of work — in exchange for a shot's tiles
-  // finishing together, so frames complete steadily instead of in waves
-  // that stall dispatch behind the master's frame writes.
-  if (best >= 0 && affinity_tenant_ >= 0 && affinity_tenant_ != best) {
-    Tenant& held = tenants_[affinity_tenant_];
-    if (held.quota <= 0 || held.inflight < held.quota) {
-      const int sid = runnable_shot(affinity_tenant_);
-      if (sid >= 0) {
-        const double lead_cap =
-            static_cast<double>(shots_[sid].units_total) * kStrideScale /
-            held.weight;
-        if (held.pass - tenants_[best].pass < lead_cap) {
-          return affinity_tenant_;
-        }
-      }
-    }
-  }
-  return best;
-}
-
-void RenderMaster::charge_tenant(Context& ctx, int worker, int tenant,
-                                 const RenderTask& task) {
-  Tenant& t = tenants_[tenant];
-  ++t.inflight;
-  t.peak_inflight = std::max(t.peak_inflight, t.inflight);
-  ++t.tasks_assigned;
-  const std::int64_t units =
-      static_cast<std::int64_t>(task.region.area()) * task.frame_count;
-  t.units_assigned += units;
-  t.pass += units * kStrideScale / t.weight;
-  affinity_tenant_ = tenant;
-  if (t.assigns_counter != nullptr) t.assigns_counter->inc();
+void RenderMaster::charge_tenant(Context& ctx, int worker,
+                                 const ShotQueue::Pick& pick) {
+  const int tenant = queue_.charge(pick);
+  if (tenant < 0) return;
   workers_[worker].charged_tenant = tenant;
-  const auto shot_it = task_shot_.find(task.task_id);
-  ServiceAssignment grant;
-  grant.tenant = tenant;
-  grant.shot_id = shot_it != task_shot_.end() ? shot_it->second : -1;
-  grant.units = units;
-  assignment_log_.push_back(grant);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(ctx.rank(), "sched", "tenant.grant", ctx.now(),
                             {{"tenant", tenant},
                              {"worker", worker},
-                             {"task", task.task_id}});
+                             {"task", pick.task.task_id}});
   }
 }
 
 void RenderMaster::release_assignment(int worker) {
   WorkerState& s = workers_[worker];
-  if (s.charged_tenant < 0) return;
-  Tenant& t = tenants_[s.charged_tenant];
-  --t.inflight;
-  assert(t.inflight >= 0);
+  queue_.release(s.charged_tenant);
   s.charged_tenant = -1;
 }
 
-void RenderMaster::service_dispatch(Context& ctx) {
-  while (!idle_.empty()) {
-    const int worker = idle_.front();
-    if (workers_[worker].dead) {
-      idle_.pop_front();
-      workers_[worker].queued = false;
-      continue;
-    }
-    const int tenant = pick_tenant();
-    if (tenant >= 0) {
-      const int sid = runnable_shot(tenant);
-      assert(sid >= 0);
-      Shot& shot = shots_[sid];
-      const RenderTask task = shot.queue.front();
-      shot.queue.pop_front();
-      idle_.pop_front();
-      workers_[worker].queued = false;
-      charge_tenant(ctx, worker, tenant, task);
-      assign(ctx, worker, task);
-      continue;
-    }
-    // No admitted work is runnable (empty queues or every tenant at quota):
-    // fall back to the classic end-game moves.
-    if (config_.partition.adaptive && try_adaptive_split(ctx)) break;
-    if (config_.speculate && try_speculate(ctx)) continue;
-    break;
-  }
-  service_preempt_if_backlogged(ctx);
-  if (queue_depth_ != nullptr) {
-    std::int64_t depth = 0;
-    for (const Shot& shot : shots_) {
-      depth += static_cast<std::int64_t>(shot.queue.size());
-    }
-    queue_depth_->set(static_cast<double>(depth));
-  }
-}
-
-void RenderMaster::service_preempt_if_backlogged(Context& ctx) {
-  if (!service_ || !config_.speculate || spec_partner_.empty()) return;
-  // Admitted work is waiting and every live worker is busy: speculation
+void RenderMaster::preempt_if_backlogged(Context& ctx) {
+  if (!config_.speculate || spec_partner_.empty()) return;
+  // Tenant work is waiting and every live worker is busy: speculation
   // clones are the lowest-value occupants, so dissolve one pair and shrink
-  // the clone away — its worker comes back for the real backlog.
-  if (pick_tenant() < 0) return;
+  // the clone away — its worker comes back for the real backlog. A solo
+  // render has no tenants, so it never preempts.
+  if (!queue_.tenant_backlog(committed_, blocked_)) return;
   for (const int w : idle_) {
     if (!workers_[w].dead) return;  // an idle worker will take the backlog
   }
   for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
     WorkerState& s = workers_[w];
     if (s.dead || !s.active || s.cancelled) continue;
-    if (spec_clone_tasks_.count(s.task.task_id) == 0) continue;
+    // The clone is the younger half of its pair: minted after its victim.
     const auto it = spec_partner_.find(s.task.task_id);
-    if (it == spec_partner_.end()) continue;  // pair already dissolved
+    if (it == spec_partner_.end() || it->second > s.task.task_id) continue;
     spec_partner_.erase(it->second);
     spec_partner_.erase(s.task.task_id);
     ++report_.preemptions;
@@ -2084,91 +1746,25 @@ void RenderMaster::service_preempt_if_backlogged(Context& ctx) {
                               {{"worker", w}, {"task", s.task.task_id}});
     }
     s.end_frame = std::min(s.end_frame, s.next_expected);
-    if (!s.awaiting_ack) {
-      ShrinkRequest req;
-      req.task_id = s.task.task_id;
-      req.new_end_frame = s.next_expected;
-      s.awaiting_ack = true;
-      ctx.send(w, kTagShrink, encode_shrink(req));
-    }
+    if (!s.awaiting_ack) shrink(ctx, w, s.next_expected);
     break;  // one preemption per backlog check
   }
 }
 
-void RenderMaster::finish_shot(Context& ctx, Shot& shot) {
-  shot.phase = ShotPhase::kDone;
-  ++report_.shots_completed;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "shot.done", ctx.now(),
-                            {{"shot", shot.shot_id},
-                             {"frames", shot.frame_count}});
-  }
-  ShotUpdate update;
-  update.shot_id = shot.shot_id;
-  update.phase = ShotPhase::kDone;
-  update.frames_done = shot.frames_done;
-  ctx.send(shot.client_rank, kTagShotUpdate, encode_shot_update(update));
-}
-
-int RenderMaster::shot_of_frame(std::int32_t frame) const {
-  for (const Shot& shot : shots_) {
-    if (frame >= shot.base_frame &&
-        frame < shot.base_frame + shot.frame_count) {
-      return shot.shot_id;
-    }
-  }
-  return -1;
-}
-
-std::string RenderMaster::service_frame_path(std::int32_t frame) const {
-  const int sid = shot_of_frame(frame);
-  if (sid < 0) {
+std::string RenderMaster::frame_path(std::int32_t frame) const {
+  const int sid = queue_.shot_of_frame(frame);
+  if (sid < 0 || queue_.shots()[sid].tenant_id < 0) {
     return frame_file_path(config_.output_dir, config_.output_prefix, frame);
   }
-  const Shot& shot = shots_[sid];
+  const ShotQueue::Shot& shot = queue_.shots()[sid];
   const std::int32_t local =
       frame - shot.base_frame + shot.scene_first_frame;
   char suffix[32];
   std::snprintf(suffix, sizeof(suffix), "_%04d.tga", local);
-  std::string name = config_.output_prefix + "-" +
-                     tenants_[shot.tenant].name + "-shot" +
+  std::string name = config_.output_prefix + "-" + shot.tenant + "-shot" +
                      std::to_string(shot.shot_id);
   if (!shot.label.empty()) name += "-" + shot.label;
   return config_.output_dir + "/" + name + suffix;
-}
-
-std::vector<TenantSummary> RenderMaster::tenant_summaries() const {
-  std::vector<TenantSummary> out;
-  for (const Tenant& t : tenants_) {
-    TenantSummary s;
-    s.name = t.name;
-    s.weight = t.weight;
-    s.quota = t.quota;
-    s.tasks_assigned = t.tasks_assigned;
-    s.units_assigned = t.units_assigned;
-    s.frames_committed = t.frames_committed;
-    s.peak_inflight = t.peak_inflight;
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-std::vector<ShotSummary> RenderMaster::shot_summaries() const {
-  std::vector<ShotSummary> out;
-  for (const Shot& shot : shots_) {
-    ShotSummary s;
-    s.shot_id = shot.shot_id;
-    s.tenant = tenants_[shot.tenant].name;
-    s.label = shot.label;
-    s.scene_id = shot.scene_id;
-    s.scene_first_frame = shot.scene_first_frame;
-    s.frame_count = shot.frame_count;
-    s.base_frame = shot.base_frame;
-    s.phase = shot.phase;
-    s.frames_done = shot.frames_done;
-    out.push_back(std::move(s));
-  }
-  return out;
 }
 
 }  // namespace now

@@ -7,6 +7,13 @@
 // digests straight into the same bookkeeping that remote shards' digests
 // reach over the wire.
 //
+// Every queued task lives in one ShotQueue (src/par/shot_queue.h). A solo
+// render is a single tenant-less shot over the animation, admitted in
+// on_start; the multi-tenant service (MasterServiceConfig::client_count > 0)
+// admits one shot per client submit. Dispatch, requeues (splits, nacks,
+// reclaims, checkpoint restore) and the finish condition are the same code
+// for both: the queue decides which shot feeds the next idle worker.
+//
 // Fault tolerance (MasterConfig::fault.enabled): every worker message is a
 // heartbeat; each assignment takes out a *progress* lease (deadline scaled
 // by the task's frame count, renewed by every accepted frame result)
@@ -47,6 +54,7 @@
 #include "src/par/jobqueue.h"
 #include "src/par/partition.h"
 #include "src/par/protocol.h"
+#include "src/par/shot_queue.h"
 #include "src/scene/animated_scene.h"
 #include "src/shard/digest.h"
 #include "src/shard/frame_sink.h"
@@ -55,19 +63,16 @@
 
 namespace now {
 
-/// Multi-tenant render service (MasterConfig::service). When enabled the
+/// Multi-tenant render service (MasterConfig::service). With clients the
 /// master admits *shots* at runtime through the job-queue messages
 /// (src/par/jobqueue.h) instead of partitioning one animation up front:
 /// each admitted shot gets a contiguous base in a concatenated global frame
-/// space, its own partition into tasks, and a per-shot queue; a
-/// weighted-fair stride scheduler picks which tenant's shot feeds the next
-/// idle worker; per-tenant quotas cap in-flight tasks; admission backlog
-/// preempts end-game speculation clones first.
+/// space and its own partition into tasks, scheduled weighted-fair by the
+/// ShotQueue; admission backlog preempts end-game speculation clones first.
 struct MasterServiceConfig {
-  bool enabled = false;
   /// ShotClient actors ride at ranks [1 + workers, 1 + workers +
   /// client_count); the run ends when every client said done and every
-  /// admitted shot is terminal.
+  /// admitted shot is terminal. 0 = solo render of the master's scene.
   int client_count = 0;
   /// Scene table addressed by ShotSubmit::scene_id. Entry 0 must be the
   /// primary scene the master was built with; all entries share its pixel
@@ -128,47 +133,8 @@ struct MasterConfig {
   /// digests back; the default (count 1) keeps one colocated FrameStore in
   /// the master that produces them locally.
   ShardMap shards;
-  /// Multi-tenant service mode (see MasterServiceConfig). Off by default:
-  /// the classic one-animation-per-process behavior is bit-for-bit
-  /// unchanged.
+  /// Multi-tenant service mode (see MasterServiceConfig). Off by default.
   MasterServiceConfig service;
-};
-
-/// Per-tenant accounting of the weighted-fair scheduler (service mode).
-struct TenantSummary {
-  std::string name;
-  double weight = 1.0;
-  std::int32_t quota = 0;  // 0 = unlimited
-  std::int64_t tasks_assigned = 0;
-  /// Pixel-frames granted — the unit the stride scheduler charges, so
-  /// fairness gates compare units, not task counts.
-  std::int64_t units_assigned = 0;
-  std::int64_t frames_committed = 0;
-  /// High-water mark of concurrently in-flight tasks (gate: <= quota).
-  std::int32_t peak_inflight = 0;
-};
-
-/// One admitted shot's final state (service mode).
-struct ShotSummary {
-  std::int32_t shot_id = -1;
-  std::string tenant;
-  std::string label;
-  std::int32_t scene_id = 0;
-  std::int32_t scene_first_frame = 0;
-  std::int32_t frame_count = 0;
-  /// First global frame in the scheduler's concatenated frame space.
-  std::int32_t base_frame = 0;
-  ShotPhase phase = ShotPhase::kActive;
-  std::int32_t frames_done = 0;
-};
-
-/// One weighted-fair grant, in order (service mode; bounded log for
-/// fairness gates: the contended-window share of each tenant's units must
-/// track its weight).
-struct ServiceAssignment {
-  std::int32_t tenant = -1;
-  std::int32_t shot_id = -1;
-  std::int64_t units = 0;  // pixel-frames granted
 };
 
 struct MasterReport {
@@ -203,6 +169,9 @@ struct MasterReport {
 class RenderMaster final : public Actor {
  public:
   RenderMaster(const AnimatedScene& scene, const MasterConfig& config);
+  // The queue filters and the sink's frame-path callback hold `this`.
+  RenderMaster(const RenderMaster&) = delete;
+  RenderMaster& operator=(const RenderMaster&) = delete;
 
   void on_start(Context& ctx) override;
   void on_message(Context& ctx, const Message& msg) override;
@@ -210,17 +179,13 @@ class RenderMaster final : public Actor {
   /// The colocated store holding the assembled animation (valid after the
   /// runtime finishes); null when remote shards own the pixels. In service
   /// mode it spans the concatenated global frame space; slice per shot with
-  /// shot_summaries()'s base_frame/frame_count.
+  /// shot_queue().shot_summaries()'s base_frame/frame_count.
   const FrameStore* frame_store() const { return store_.get(); }
   const MasterReport& report() const { return report_; }
   const FaultReport& fault_report() const { return fault_report_; }
 
-  // -- multi-tenant service results (empty in classic mode) --------------
-  std::vector<TenantSummary> tenant_summaries() const;
-  std::vector<ShotSummary> shot_summaries() const;
-  const std::vector<ServiceAssignment>& assignment_log() const {
-    return assignment_log_;
-  }
+  /// Shots, tenants and the grant log (valid after the runtime finishes).
+  const ShotQueue& shot_queue() const { return queue_; }
 
  private:
   struct WorkerState {
@@ -248,10 +213,9 @@ class RenderMaster final : public Actor {
     /// them. A gap within one shard's digests is genuine loss (per-sender
     /// FIFO), never reordering.
     std::set<std::int32_t> deferred_frames;
-    // -- service mode only -----------------------------------------------
-    /// Tenant whose quota this worker's assignment is charged against
-    /// (-1 = none). Speculation clones stay uncharged so the quota gate
-    /// (peak_inflight <= quota) holds for admitted work.
+    /// Tenant whose quota this worker's assignment is charged against (-1:
+    /// tenant-less shots and speculation clones stay uncharged, so the quota
+    /// gate peak_inflight <= quota holds for admitted work).
     int charged_tenant = -1;
   };
 
@@ -278,8 +242,8 @@ class RenderMaster final : public Actor {
   /// the deferred_frames reorder buffer), or cancel and reclaim its task on
   /// a reject or a gap.
   void advance_worker(Context& ctx, const CommitDigest& d);
-  /// A frame's missing area reached zero: count it and, in service mode,
-  /// credit its shot and tenant (finishing the shot on its last frame).
+  /// A frame's missing area reached zero: count it and credit its shot and
+  /// tenant, reporting a tenant's shot done on its last frame.
   void note_frame_complete(Context& ctx, std::int32_t frame);
   /// Append a checkpoint once journal_checkpoint_every fresh commits have
   /// accumulated since the last one.
@@ -290,6 +254,9 @@ class RenderMaster final : public Actor {
   /// `hello` distinguishes kTagHello (may re-admit a dead rank: elastic
   /// membership) from kTagRequest (a dead rank's requests stay ignored).
   void handle_idle(Context& ctx, int worker, bool hello);
+  /// The idle transition: drop the worker's task state and queue it for
+  /// dispatch (once).
+  void make_idle(int worker);
   void handle_shrink_ack(Context& ctx, const Message& msg);
   /// A busy worker refused an assignment: requeue it immediately instead of
   /// letting it sit on the refusing worker until its lease expires.
@@ -339,7 +306,14 @@ class RenderMaster final : public Actor {
   void note_commit(Context& ctx, int worker, std::int32_t task_id,
                    std::uint64_t trace_ctx, std::int32_t frame,
                    double render_seconds);
+  /// Feed idle workers from the shot queue; with nothing runnable (and
+  /// nothing held for a dead shard), fall back to the end-game moves:
+  /// adaptive split, then speculation.
   void try_dispatch(Context& ctx);
+  /// The active, unpaired worker not mid-shrink with the highest score for
+  /// its remaining frames — the count itself, or by_expected_time, the
+  /// count × its expected per-frame time (-1 when none has frames left).
+  int split_victim(bool by_expected_time) const;
   bool try_adaptive_split(Context& ctx);
   /// End-game: clone the slowest active task onto an idle worker. Returns
   /// true when a clone was dispatched.
@@ -361,86 +335,56 @@ class RenderMaster final : public Actor {
   /// now on, and the frames not yet delivered are re-enqueued as a fresh
   /// task (whose first frame will be a full coherence-restart render).
   void cancel_and_reclaim(Context& ctx, int worker);
+  /// cancel_and_reclaim, then tell a still-active worker to stop at what it
+  /// already delivered. Callers dispatch afterwards.
+  void write_off(Context& ctx, int worker);
+  /// Ask `worker` to end its current task at `new_end` (kTagShrink); the
+  /// ack clears awaiting_ack.
+  void shrink(Context& ctx, int worker, std::int32_t new_end);
+  /// Queue a recovery task (a coherence restart, counted as reassigned work
+  /// and traced as task.reclaim; `worker` < 0 omits the worker argument).
+  /// Its id is consumed only when its shot is still active.
+  void requeue_reclaim(Context& ctx, RenderTask reclaim, int worker);
+  /// Tasks covering scene frames [first, first + count) of `scene`, in
+  /// range-local frame numbers. Camera cuts inside the range — the explicit
+  /// partition.sequence_cuts (scene frame numbers) or, for sequence
+  /// division without them, the scene's shot boundaries — become task
+  /// boundaries, shifted into range-local numbers.
+  std::vector<RenderTask> partition_range(const AnimatedScene& scene,
+                                          int first, int count) const;
   void declare_dead(Context& ctx, int worker);
 
   // -- multi-tenant service ----------------------------------------------
-  /// Weighted-fair admission state for one tenant (stride scheduling: each
-  /// grant advances pass by units * kStrideScale / weight, the runnable
-  /// tenant with the lowest pass goes next).
-  struct Tenant {
-    std::string name;
-    double weight = 1.0;
-    std::int32_t quota = 0;  // max in-flight tasks, 0 = unlimited
-    std::int32_t inflight = 0;
-    std::int32_t peak_inflight = 0;
-    double pass = 0.0;
-    std::int64_t tasks_assigned = 0;
-    std::int64_t units_assigned = 0;  // pixel-frames granted
-    std::int64_t frames_committed = 0;
-    Counter* frames_counter = nullptr;   // tenant.<name>.frames_committed
-    Counter* assigns_counter = nullptr;  // tenant.<name>.tasks_assigned
-  };
-
-  /// One admitted shot: a contiguous [base_frame, base_frame + frame_count)
-  /// slice of the global frame space plus its private task queue.
-  struct Shot {
-    std::int32_t shot_id = -1;
-    int tenant = -1;  // index into tenants_
-    int client_rank = -1;
-    std::string label;
-    std::int32_t scene_id = 0;
-    std::int32_t scene_first_frame = 0;
-    std::int32_t frame_count = 0;
-    std::int32_t base_frame = 0;
-    ShotPhase phase = ShotPhase::kActive;
-    std::int32_t frames_done = 0;
-    /// Pixel-frames across the initial task queue (the shot's total work —
-    /// the affinity quantum in pick_tenant).
-    std::int64_t units_total = 0;
-    std::deque<RenderTask> queue;
-  };
-
-  bool is_client_rank(Context& ctx, int rank) const;
+  bool is_client_rank(int rank) const;
   void handle_shot_submit(Context& ctx, const Message& msg);
   void handle_shot_status(Context& ctx, const Message& msg);
   void handle_shot_cancel(Context& ctx, const Message& msg);
   void handle_client_done(Context& ctx, int source);
-  /// Find-or-create the tenant named in a submit. The first submit fixes
-  /// the tenant's weight and quota; its stride pass starts at the minimum
-  /// existing pass so a late arrival cannot monopolize the farm back-paying
-  /// "missed" grants.
-  int tenant_for(const std::string& name, double weight, std::int32_t quota);
-  /// Lowest-pass tenant with a runnable shot and quota headroom (-1: none),
-  /// with shot affinity: the last-served tenant keeps the grant while its
-  /// stride lead stays under one shot's worth of units, so a shot's tasks
-  /// finish near each other and its frames complete (and flush) promptly.
-  /// Pure per-task rotation would scatter each shot's tiles across the
-  /// whole schedule, bunching frame completions into master-side write
-  /// stalls exactly when every worker is asking for its next task.
-  int pick_tenant();
-  /// First active shot of `tenant` (admission order) whose queue still has
-  /// an uncommitted task; prunes committed queue heads as a side effect.
-  int runnable_shot(int tenant);
-  /// Service-mode half of try_dispatch: feed idle workers via the
-  /// weighted-fair queue, then preempt speculation if backlog remains.
-  void service_dispatch(Context& ctx);
-  void charge_tenant(Context& ctx, int worker, int tenant,
-                     const RenderTask& task);
+  /// Charge a dispatched pick to its tenant (a tenant-less pick is free)
+  /// and trace the grant.
+  void charge_tenant(Context& ctx, int worker, const ShotQueue::Pick& pick);
   /// Un-charge the quota slot once (idempotent: resets charged_tenant).
   void release_assignment(int worker);
-  /// Runnable admitted work, no idle live worker: dissolve one speculation
+  /// Runnable tenant work, no idle live worker: dissolve one speculation
   /// pair and shrink the clone away so its worker returns for real work.
-  void service_preempt_if_backlogged(Context& ctx);
-  void finish_shot(Context& ctx, Shot& shot);
-  /// Shot owning a global frame (-1 when none — cannot happen for an
-  /// admitted frame).
-  int shot_of_frame(std::int32_t frame) const;
-  std::string service_frame_path(std::int32_t frame) const;
+  void preempt_if_backlogged(Context& ctx);
+  /// Output file of a global frame: the classic frame_file_path for a
+  /// tenant-less shot, `<prefix>-<tenant>-shot<id>[-<label>]_NNNN.tga`
+  /// numbered in the scene's frame space for a tenant's shot.
+  std::string frame_path(std::int32_t frame) const;
 
   const AnimatedScene& scene_;
   MasterConfig config_;
 
-  std::deque<RenderTask> pending_;
+  /// Every task not yet handed out, by shot, and the commit-state views
+  /// its dispatch choice takes.
+  ShotQueue queue_;
+  const ShotQueue::TaskFilter committed_ = [this](const RenderTask& task) {
+    return task_fully_committed(task);
+  };
+  const ShotQueue::TaskFilter blocked_ = [this](const RenderTask& task) {
+    return task_blocked_by_dead_shard(task);
+  };
   std::vector<WorkerState> workers_;
   std::deque<int> idle_;
   /// One entry per shard in sharded mode with fault.enabled; empty when
@@ -483,19 +427,7 @@ class RenderMaster final : public Actor {
 
   StragglerDetector straggler_;
 
-  // -- multi-tenant service (all empty/false in classic mode) ------------
-  bool service_ = false;
-  std::vector<Tenant> tenants_;
-  std::map<std::string, int> tenant_ids_;   // name → index into tenants_
-  /// Last tenant granted work (shot affinity in pick_tenant); -1 = none.
-  int affinity_tenant_ = -1;
-  std::vector<Shot> shots_;                 // shot_id == index, base order
-  std::map<std::int32_t, std::int32_t> task_shot_;  // task_id → shot_id
-  /// Task ids that are speculation *clones* (uncharged): the pool the
-  /// backlog preemption drains first.
-  std::set<std::int32_t> spec_clone_tasks_;
-  std::set<int> done_clients_;              // client ranks that sent done
-  std::vector<ServiceAssignment> assignment_log_;
+  std::set<int> done_clients_;  // client ranks that sent done
 
   MasterReport report_;
   FaultReport fault_report_;

@@ -406,7 +406,6 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
   const int client_count =
       service ? static_cast<int>(config.service.clients.size()) : 0;
   if (service) {
-    master_config.service.enabled = true;
     master_config.service.client_count = client_count;
     master_config.service.scenes.push_back(&scene);
     for (const AnimatedScene* extra : config.service.extra_scenes) {
@@ -605,11 +604,11 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
   result.faults = master.fault_report();
   result.resume = resume_report;
   if (service) {
-    result.tenants = master.tenant_summaries();
-    result.assignment_log = master.assignment_log();
+    result.tenants = master.shot_queue().tenant_summaries();
+    result.assignment_log = master.shot_queue().grants();
     for (auto& c : clients) result.clients.push_back(c->report());
     // Slice each shot's frames back out of the global frame space.
-    for (const ShotSummary& summary : master.shot_summaries()) {
+    for (const ShotSummary& summary : master.shot_queue().shot_summaries()) {
       FarmResult::ShotResult shot;
       shot.summary = summary;
       for (int f = 0; f < summary.frame_count; ++f) {

@@ -25,6 +25,13 @@ void FrameStore::grow(int frames) {
   frames_.resize(n, Framebuffer(config_.width, config_.height));
   area_missing_.resize(n, std::int64_t{config_.width} * config_.height);
   committed_rects_.resize(n);
+  written_off_.resize(n, 0);
+}
+
+void FrameStore::write_off(int first, int count) {
+  for (int f = first; f < first + count; ++f) {
+    written_off_[f - first_frame()] = 1;
+  }
 }
 
 void FrameStore::reset(FrameSink* sink) {
@@ -32,6 +39,7 @@ void FrameStore::reset(FrameSink* sink) {
   frames_.clear();
   area_missing_.clear();
   committed_rects_.clear();
+  written_off_.clear();
   chains_.clear();
   grow(owned);
   sink_ = sink;
@@ -117,6 +125,9 @@ CommitDigest FrameStore::commit(Context& ctx, const Message& msg) {
       std::int64_t{region.y0} + region.height <= config_.height;
   if (frame < first_frame() || frame >= end_frame() || !in_image) {
     return reject(chain, d, /*malformed=*/true);
+  }
+  if (written_off_[frame - first_frame()]) {
+    return reject(chain, d, /*malformed=*/false);
   }
   if (!chain.started) {
     // A task's first result is always a dense key frame (workers promote at

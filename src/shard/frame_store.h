@@ -87,9 +87,10 @@ class FrameStore {
   int restore(const std::vector<std::optional<Framebuffer>>& frames,
               const std::vector<std::vector<RegionCommitRecord>>& commits);
 
-  /// Reject everything `task_id` sends from now on (its frames were written
-  /// off, e.g. a cancelled shot).
-  void reject_task(std::int32_t task_id) { chains_[task_id].broken = true; }
+  /// Reject every result for global frames [first, first + count) from now
+  /// on, poisoning the sender's chain (the frames were written off, e.g. a
+  /// cancelled shot).
+  void write_off(int first, int count);
 
   int first_frame() const { return config_.first_frame; }
   int end_frame() const { return first_frame() + frame_count(); }
@@ -119,6 +120,7 @@ class FrameStore {
   /// Authoritative idempotent-commit gate: per owned frame, the packed
   /// rects already applied.
   std::vector<std::set<std::uint64_t>> committed_rects_;
+  std::vector<char> written_off_;  // per owned frame: see write_off()
   std::map<std::int32_t, Chain> chains_;
 
   Counter* decode_failures_ = nullptr;     // net.frame_decode_failures

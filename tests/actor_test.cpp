@@ -481,9 +481,6 @@ TEST_F(MasterProtocol, MalformedPayloadsAreIgnored) {
   EXPECT_TRUE(ctx.stopped);
 }
 
-#ifdef NDEBUG
-// Release builds only: the worker asserts on undecodable master messages to
-// surface bugs loudly in Debug.
 TEST_F(WorkerProtocol, MalformedTaskAndShrinkAreIgnored) {
   worker_.on_message(ctx_, msg_from(0, kTagTask, "garbage"));
   EXPECT_FALSE(ctx_.has(kTagContinue));  // no task started
@@ -494,7 +491,6 @@ TEST_F(WorkerProtocol, MalformedTaskAndShrinkAreIgnored) {
   worker_.on_message(ctx_, msg_from(0, kTagShrink, "junk"));
   EXPECT_FALSE(ctx_.has(kTagShrinkAck));
 }
-#endif  // NDEBUG
 
 TEST_F(MasterProtocol, TaskNackRequeuesImmediately) {
   auto master = make_master(PartitionScheme::kSequenceDivision, false);

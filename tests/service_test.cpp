@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
+#include "src/obs/status_server.h"
 #include "src/par/jobqueue.h"
+#include "src/par/master.h"
 #include "src/par/render_farm.h"
 #include "src/par/serial.h"
 #include "src/scene/builtin_scenes.h"
@@ -496,6 +499,80 @@ TEST(Service, MultiSceneShots) {
     expect_shot_matches(shot, scene, config.coherence.trace,
                         shot.summary.label);
   }
+}
+
+TEST(Service, ExplicitCutsShiftIntoShotFrames) {
+  // Explicit sequence cuts are scene frame numbers. A shot over scene
+  // frames [8, 16) with a cut at scene frame 10 must split its tasks at
+  // shot-local frame 2, not read the cut as shot-local 10 (outside the shot).
+  const AnimatedScene scene = orbit_scene(3, 16, 48, 36);
+  FarmConfig config = service_config(2);
+  config.partition.scheme = PartitionScheme::kSequenceDivision;
+  config.partition.sequence_cuts = {10};
+  config.partition.adaptive = false;
+  config.obs.trace = true;
+  ClientScript script;
+  script.actions.push_back(submit_at(0.0, "cut", 1.0, 0, 8, 8));
+  config.service.clients.push_back(script);
+
+  const FarmResult result = render_farm(scene, config);
+  ASSERT_EQ(result.shots.size(), 1u);
+  EXPECT_EQ(result.shots[0].summary.phase, ShotPhase::kDone);
+  const int base = result.shots[0].summary.base_frame;
+  std::vector<std::int64_t> starts;
+  for (const TraceEvent& e : result.trace_events) {
+    if (std::string(e.name) != "task.assign") continue;
+    for (const TraceEvent::Arg& arg : e.args) {
+      if (std::string(arg.key) == "first_frame") {
+        starts.push_back(arg.value - base);
+      }
+    }
+  }
+  std::sort(starts.begin(), starts.end());
+  EXPECT_EQ(starts, (std::vector<std::int64_t>{0, 2}));
+  expect_shot_matches(result.shots[0], scene, config.coherence.trace, "cut");
+}
+
+/// Just enough Context to drive a master by hand: sends are dropped.
+class QuietContext final : public Context {
+ public:
+  explicit QuietContext(int world_size) : world_size_(world_size) {}
+  int rank() const override { return 0; }
+  int world_size() const override { return world_size_; }
+  void send(int, int, std::string) override {}
+  void charge(double) override {}
+  double now() const override { return 0.0; }
+  void stop() override {}
+
+ private:
+  int world_size_;
+};
+
+TEST(Service, StatusCountsQueuedShotTasks) {
+  // One worker that never says hello and one client: everything the two
+  // admitted shots partition into stays queued, and /status must say so.
+  const AnimatedScene scene = orbit_scene(3, 8, 48, 36);
+  StatusBoard board;
+  MasterConfig config;
+  config.partition.scheme = PartitionScheme::kFrameDivision;
+  config.partition.block_size = 16;  // 48x36 → 3x3 tiles, one task each
+  config.service.client_count = 1;
+  config.service.scenes.push_back(&scene);
+  config.sample_interval_seconds = 1.0;
+  config.status = &board;
+  RenderMaster master(scene, config);
+  QuietContext ctx(3);  // master, worker 1, client 2
+  master.on_start(ctx);
+  ShotSubmit sub;
+  sub.tenant = "t";
+  sub.frame_count = 4;
+  for (int i = 0; i < 2; ++i) {
+    master.on_message(ctx,
+                      Message{2, kTagShotSubmit, encode_shot_submit(sub)});
+  }
+  master.on_message(ctx, Message{0, kTagSampleTick, {}});
+  EXPECT_NE(board.latest().find("\"pending_tasks\": 18"), std::string::npos)
+      << board.latest();
 }
 
 TEST(Service, SimRunsAreDeterministic) {

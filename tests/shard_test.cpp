@@ -406,6 +406,36 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+TEST(FrameStoreWriteOff, RejectsResultsIntoWrittenOffFrames) {
+  // A cancelled shot's frames are written off: whatever task still sends
+  // into them is rejected (its chain poisoned), while the frames around
+  // them keep committing.
+  FrameSink sink(FrameSinkConfig{});
+  FrameStoreConfig config;
+  config.width = kStoreW;
+  config.height = kStoreH;
+  config.frame_count = kStoreFrames;
+  FrameStore store(config, &sink);
+  store.write_off(1, 2);
+  ChargeContext ctx;
+  const auto send = [&](std::int32_t task, int frame) {
+    FrameResult result;
+    result.task_id = task;
+    result.frame = frame;
+    result.payload = step_payload(dense(task, frame, kWhole, true), 0);
+    return store.commit(ctx, Message{2, kTagFrameResult,
+                                     encode_frame_result(result)})
+        .kind;
+  };
+  EXPECT_EQ(send(1, 0), CommitKind::kFresh);
+  EXPECT_EQ(send(2, 1), CommitKind::kChainReject);
+  EXPECT_EQ(send(2, 2), CommitKind::kChainReject);
+  EXPECT_EQ(send(3, 3), CommitKind::kFresh);
+  EXPECT_EQ(store.report().frames_committed, 2);
+  EXPECT_EQ(store.report().chain_rejects, 2);
+  EXPECT_EQ(store.report().decode_failures, 0);
+}
+
 // -- End-to-end identity: the standing gate ---------------------------------
 
 FarmConfig shard_config(FarmBackend backend, int shards) {
