@@ -7,6 +7,7 @@
 // Scalability sweep: cluster sizes 1..16, homogeneous and heterogeneous
 // mixes, for both partitioning schemes, with efficiency relative to the
 // aggregate compute power.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "src/core/coherent_renderer.h"
 #include "src/par/render_farm.h"
 #include "src/par/serial.h"
+#include "src/scene/builtin_scenes.h"
 
 namespace now {
 namespace {
@@ -90,41 +92,71 @@ int run(bool quick) {
   return 0;
 }
 
+/// One scene rendered by a CoherentRenderer at a given thread count.
+struct IntraSample {
+  double dense_seconds = 0.0;   // full renders (the first frame)
+  double sparse_seconds = 0.0;  // incremental frames
+  /// Incremental frame wall time outside the parallel section: frame time
+  /// minus the span of FrameRenderResult::chunks (all of it at 1 thread).
+  double post_join_seconds = 0.0;
+  double recomputed_frac = 0.0;  // of incremental frames' pixels
+  std::vector<Framebuffer> frames;
+};
+
+IntraSample render_intra(const AnimatedScene& scene, int threads) {
+  IntraSample s;
+  CoherenceOptions options;
+  options.threads = threads;
+  CoherentRenderer renderer(scene, {0, 0, scene.width(), scene.height()},
+                            options);
+  Framebuffer fb(scene.width(), scene.height());
+  std::int64_t recomputed = 0;
+  std::int64_t total = 0;
+  for (int frame = 0; frame < scene.frame_count(); ++frame) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const FrameRenderResult r = renderer.render_frame(frame, &fb);
+    const double dt =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (r.full_render) {
+      s.dense_seconds += dt;
+    } else {
+      double chunks_end = 0.0;
+      for (const ChunkTiming& c : r.chunks) {
+        chunks_end = std::max(chunks_end, c.start_seconds + c.seconds);
+      }
+      s.sparse_seconds += dt;
+      s.post_join_seconds += dt - chunks_end;
+      recomputed += r.pixels_recomputed;
+      total += r.pixels_total;
+    }
+    s.frames.push_back(fb);
+  }
+  s.recomputed_frac =
+      total > 0 ? static_cast<double>(recomputed) / static_cast<double>(total)
+                : 0.0;
+  return s;
+}
+
 /// Intra-node sweep: the same sequence rendered at 1/2/4/8 worker threads,
 /// measured in wall-clock time (not simulated) and split into the dense
 /// first frame vs. the sparse incremental remainder. Every frame is checked
 /// byte-identical against the single-threaded run — a mismatch fails the
 /// bench, since determinism is the feature, not a nice-to-have.
+///
+/// The cradle's incremental frames recompute few pixels, so a second scene
+/// in which every sphere orbits keeps most pixels dirty: its row shows the
+/// share of each incremental frame spent after the parallel section, in the
+/// coherence grid's merge, collection and compaction.
 int run_intra_node(bool quick) {
   CradleParams params;
   params.frames = quick ? 6 : 16;
   params.width = quick ? 160 : 320;
   params.height = quick ? 120 : 240;
   const AnimatedScene scene = newton_cradle_scene(params);
-  const PixelRect region{0, 0, scene.width(), scene.height()};
-
-  struct Sample {
-    double dense_seconds = 0.0;
-    double sparse_seconds = 0.0;
-    std::vector<Framebuffer> frames;
-  };
-  const auto render_all = [&](int threads) {
-    Sample s;
-    CoherenceOptions options;
-    options.threads = threads;
-    CoherentRenderer renderer(scene, region, options);
-    Framebuffer fb(scene.width(), scene.height());
-    for (int frame = 0; frame < scene.frame_count(); ++frame) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const FrameRenderResult r = renderer.render_frame(frame, &fb);
-      const double dt =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      (r.full_render ? s.dense_seconds : s.sparse_seconds) += dt;
-      s.frames.push_back(fb);
-    }
-    return s;
-  };
+  const AnimatedScene busy =
+      orbit_scene(24, params.frames, params.width, params.height);
+  const int thread_counts[] = {1, 2, 4, 8};
 
   std::printf("\nintra-node threading (wall clock, %d frames at %dx%d)\n",
               scene.frame_count(), scene.width(), scene.height());
@@ -132,14 +164,11 @@ int run_intra_node(bool quick) {
               "sparse", "speedup", "identical");
   bench::print_rule(74);
 
-  const Sample base = render_all(1);
+  const IntraSample base = render_intra(scene, 1);
   int rc = 0;
-  for (const int threads : {1, 2, 4, 8}) {
-    const Sample s = threads == 1 ? base : render_all(threads);
-    bool identical = s.frames.size() == base.frames.size();
-    for (std::size_t f = 0; identical && f < s.frames.size(); ++f) {
-      identical = s.frames[f] == base.frames[f];
-    }
+  for (const int threads : thread_counts) {
+    const IntraSample s = threads == 1 ? base : render_intra(scene, threads);
+    const bool identical = s.frames == base.frames;
     if (!identical) rc = 1;
     std::printf("%8d %13.3fs %10s %13.3fs %10s %12s\n", threads,
                 s.dense_seconds,
@@ -152,6 +181,35 @@ int run_intra_node(bool quick) {
         .set(s.dense_seconds);
     bench::bench_registry().gauge(prefix + ".sparse_seconds")
         .set(s.sparse_seconds);
+  }
+
+  const IntraSample busy_base = render_intra(busy, 1);
+  std::printf("\nhigh motion: orbit scene, 24 spheres, %.0f%% of pixels "
+              "recomputed per incremental frame\n",
+              100.0 * busy_base.recomputed_frac);
+  std::printf("%8s %14s %10s %14s %10s %12s\n", "threads", "incremental",
+              "speedup", "post-join", "share", "identical");
+  bench::print_rule(74);
+  for (const int threads : thread_counts) {
+    const IntraSample s =
+        threads == 1 ? busy_base : render_intra(busy, threads);
+    const bool identical = s.frames == busy_base.frames;
+    if (!identical) rc = 1;
+    std::printf("%8d %13.3fs %10s %13.3fs %9.1f%% %12s\n", threads,
+                s.sparse_seconds,
+                bench::speedup(busy_base.sparse_seconds, s.sparse_seconds)
+                    .c_str(),
+                s.post_join_seconds,
+                s.sparse_seconds > 0
+                    ? 100.0 * s.post_join_seconds / s.sparse_seconds
+                    : 0.0,
+                identical ? "yes" : "MISMATCH");
+    const std::string prefix =
+        "intra.high_motion.threads_" + std::to_string(threads);
+    bench::bench_registry().gauge(prefix + ".incremental_seconds")
+        .set(s.sparse_seconds);
+    bench::bench_registry().gauge(prefix + ".post_join_seconds")
+        .set(s.post_join_seconds);
   }
   if (rc != 0) {
     std::fprintf(stderr,

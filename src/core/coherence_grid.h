@@ -14,6 +14,12 @@
 // global compaction pass when the stale fraction grows too large. Memory is
 // proportional to the tracked pixel region — the property that makes frame
 // division cheaper per worker than sequence division (Section 3).
+//
+// Multithreaded renders buffer their marks per chunk (MarkBuffer) and hand
+// them to merge(), which appends them on a ThreadPool: the cell lists are
+// split into disjoint contiguous index ranges, so no list is shared between
+// threads, and each range walks the buffers in order, so every list ends in
+// the order a sequential render would have produced.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +30,8 @@
 #include "src/image/image_diff.h"
 
 namespace now {
+
+class ThreadPool;
 
 struct CoherenceGridStats {
   std::int64_t live_marks = 0;
@@ -45,6 +53,20 @@ struct CoherenceGridStats {
   }
 };
 
+/// One render chunk's marks, buffered instead of written to the grid: the
+/// chunk's pixels in shading order, each with the number of marks it left,
+/// and those marks' cells concatenated in the same order. A pixel holds at
+/// most one mark per cell (see BufferedRayRecorder).
+struct MarkBuffer {
+  struct Pixel {
+    std::int32_t x;  // full-image coordinates
+    std::int32_t y;
+    std::uint32_t cell_count;
+  };
+  std::vector<Pixel> pixels;
+  std::vector<std::uint32_t> cells;
+};
+
 class CoherenceGrid {
  public:
   /// Track pixels of `region` (a subarea of the full image) against `grid`.
@@ -63,18 +85,38 @@ class CoherenceGrid {
   /// Forget everything (used when a full re-render invalidates all state).
   void reset();
 
+  /// Store `chunks`' marks exactly as if each pixel, in chunk order and then
+  /// buffer order, had been announced with begin_pixel() (only when
+  /// `bump_epochs`) and had its cells mark()ed — lists, epochs and stats
+  /// all end identical. A pixel may appear only once across `chunks` (the
+  /// renderer's chunks are disjoint row bands). Without `bump_epochs` no
+  /// list may already end in a buffered pixel's current-epoch mark, which
+  /// holds right after reset(). The appends run on `pool`, one task per
+  /// cell range; null runs them on the calling thread.
+  void merge(const std::vector<const MarkBuffer*>& chunks, bool bump_epochs,
+             ThreadPool* pool);
+
   /// Union of the live pixels of the given voxel cells into `out` (mask in
   /// full-image coordinates). Scanned lists are compacted in passing.
   /// When `pixels` is non-null it additionally receives the region-local
   /// index of every pixel newly set in `out` (deduplicated via the mask, in
   /// scan order — not sorted); callers that iterate only the dirty pixels
-  /// avoid rescanning the whole region.
+  /// avoid rescanning the whole region. With a `pool`, ranges of `cells`
+  /// (which must be distinct) are scanned concurrently and `pixels` comes
+  /// out ascending; the mask, the lists and the stats end the same.
   void collect_pixels(const std::vector<std::uint32_t>& cells, PixelMask* out,
-                      std::vector<std::uint32_t>* pixels = nullptr);
+                      std::vector<std::uint32_t>* pixels = nullptr,
+                      ThreadPool* pool = nullptr);
+
+  /// Union of the live pixels of the given voxel cells into `out`, leaving
+  /// the grid untouched: stale marks are skipped, not dropped.
+  void peek_pixels(const std::vector<std::uint32_t>& cells,
+                   PixelMask* out) const;
 
   /// Drop stale marks everywhere when they exceed `stale_fraction` of all
-  /// stored marks. Returns true if a compaction ran.
-  bool maybe_compact(double stale_fraction = 0.5);
+  /// stored marks, one task per cell range on `pool` (null = the calling
+  /// thread). Returns true if a compaction ran.
+  bool maybe_compact(double stale_fraction = 0.5, ThreadPool* pool = nullptr);
 
   const CoherenceGridStats& stats() const { return stats_; }
 
@@ -89,7 +131,16 @@ class CoherenceGrid {
                                       (x - region_.x0));
   }
 
-  void compact_cell(std::vector<Mark>& list);
+  /// Drop the list's stale marks, calling visit(mark) on each kept one;
+  /// returns how many were dropped.
+  template <typename Visit>
+  std::size_t compact_cell(std::vector<Mark>& list, Visit&& visit) const;
+  /// Range-balancing weight of a cell: the marks its list holds, plus one.
+  std::int64_t list_weight(int cell) const;
+  void collect_pixels_ranged(const std::vector<std::uint32_t>& cells,
+                             PixelMask* out,
+                             std::vector<std::uint32_t>* pixels,
+                             ThreadPool* pool);
 
   VoxelGrid grid_;
   PixelRect region_;

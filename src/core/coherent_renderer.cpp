@@ -149,14 +149,16 @@ void CoherentRenderer::render_pixels_parallel(const PixelMask* mask,
     chunk.seconds = seconds_between(chunk_start, chunk_end);
   });
 
-  // Deterministic merge: replaying the buffered marks in ascending chunk
-  // order reproduces the sequential row-major mark order exactly; all stat
-  // counters are integers, so chunked summation is byte-identical too.
+  // Deterministic merge: CoherenceGrid::merge stores the buffered marks as
+  // if replayed in ascending chunk order, which reproduces the sequential
+  // row-major mark order exactly; all stat counters are integers, so
+  // chunked summation is byte-identical too.
+  std::vector<const MarkBuffer*> buffers;
   result->chunks.reserve(static_cast<std::size_t>(chunk_count));
   for (int c = 0; c < chunk_count; ++c) {
-    ChunkState& chunk = chunks[static_cast<std::size_t>(c)];
+    const ChunkState& chunk = chunks[static_cast<std::size_t>(c)];
     if (chunk.recorder != nullptr) {
-      chunk.recorder->replay(grid_.get(), bump_epochs);
+      buffers.push_back(&chunk.recorder->marks());
       recorder_->accumulate(chunk.recorder->stats());
     }
     result->stats += chunk.stats;
@@ -164,6 +166,7 @@ void CoherentRenderer::render_pixels_parallel(const PixelMask* mask,
     result->chunks.push_back({c, chunk.worker, chunk.y0, chunk.rows,
                               chunk.start_seconds, chunk.seconds});
   }
+  if (!buffers.empty()) grid_->merge(buffers, bump_epochs, pool_.get());
 }
 
 FrameRenderResult CoherentRenderer::full_render(Framebuffer* fb) {
@@ -222,7 +225,8 @@ FrameRenderResult CoherentRenderer::incremental_render(int frame,
   } else {
     dirty_pixels_.clear();
     grid_->collect_pixels(dirty.cells, &result.recomputed,
-                          use_pixel_list ? &dirty_pixels_ : nullptr);
+                          use_pixel_list ? &dirty_pixels_ : nullptr,
+                          pool_.get());
     result.dirty_voxels = static_cast<std::int64_t>(dirty.cells.size());
   }
   if (options_.block_size > 0) expand_to_blocks(&result.recomputed);
@@ -266,7 +270,7 @@ FrameRenderResult CoherentRenderer::incremental_render(int frame,
   result.voxels_marked = static_cast<std::int64_t>(
       recorder_->stats().voxels_visited - marks_before);
 
-  grid_->maybe_compact();
+  grid_->maybe_compact(0.5, pool_.get());
   return result;
 }
 
@@ -306,7 +310,7 @@ PixelMask CoherentRenderer::predict_dirty(int next_frame) const {
       }
     }
   } else {
-    grid_->collect_pixels(dirty.cells, &mask);
+    grid_->peek_pixels(dirty.cells, &mask);
   }
   if (options_.block_size > 0) expand_to_blocks(&mask);
   return mask;

@@ -23,8 +23,10 @@
 // Intra-worker parallelism (`threads`): the region's pixels are sharded into
 // fixed row-band chunks; a thread pool shades chunks concurrently, each with
 // its own Tracer and a BufferedRayRecorder that defers grid marks and ray
-// stats into per-chunk buffers. After the join, buffers are merged into the
-// CoherenceGrid and stats are reduced in ascending chunk order — the
+// stats into per-chunk buffers. After the join, CoherenceGrid::merge
+// appends the buffered marks on the same pool, split by voxel-cell range,
+// as if replayed in ascending chunk order; compaction and dirty-pixel
+// collection split the same way. Stats are reduced in chunk order. The
 // framebuffer, the grid's mark lists, and every FrameRenderResult counter
 // are byte-identical to a `threads = 1` render (only the wall-clock
 // `chunks` timing metadata differs; it is empty when sequential).
@@ -126,7 +128,8 @@ class CoherentRenderer {
   int thread_count() const { return threads_; }
 
   /// Predicted-dirty mask for the transition last_frame → last_frame+1
-  /// without rendering (used by the Figure 2 accuracy benchmark).
+  /// without rendering (used by the Figure 2 accuracy benchmark). Read-only:
+  /// the grid, and so the next render, are left exactly as they were.
   PixelMask predict_dirty(int next_frame) const;
 
  private:

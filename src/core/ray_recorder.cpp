@@ -30,14 +30,14 @@ void RayRecorder::on_segment(int px, int py, const Ray& ray, double t_end,
 
 void BufferedRayRecorder::begin_pixel(int x, int y) {
   ++*stamp_serial_;
-  pixels_.push_back({x, y, 0});
+  marks_.pixels.push_back({x, y, 0});
 }
 
 void BufferedRayRecorder::on_segment(int px, int py, const Ray& ray,
                                      double t_end, RayKind kind) {
   if (kind == RayKind::kShadow && !record_shadow_rays_) return;
-  assert(!pixels_.empty() && pixels_.back().x == px &&
-         pixels_.back().y == py && "segment outside begin_pixel scope");
+  assert(!marks_.pixels.empty() && marks_.pixels.back().x == px &&
+         marks_.pixels.back().y == py && "segment outside begin_pixel scope");
   (void)px;
   (void)py;
   ++stats_.segments;
@@ -52,23 +52,11 @@ void BufferedRayRecorder::on_segment(int px, int py, const Ray& ray,
                // render anyway (pixels are processed contiguously).
                if (stamp[static_cast<std::size_t>(cell)] != serial) {
                  stamp[static_cast<std::size_t>(cell)] = serial;
-                 cells_.push_back(static_cast<std::uint32_t>(cell));
-                 ++pixels_.back().cell_count;
+                 marks_.cells.push_back(static_cast<std::uint32_t>(cell));
+                 ++marks_.pixels.back().cell_count;
                }
                return true;
              });
-}
-
-void BufferedRayRecorder::replay(CoherenceGrid* grid, bool bump_epochs) const {
-  std::size_t cursor = 0;
-  for (const PixelEntry& p : pixels_) {
-    if (bump_epochs) grid->begin_pixel(p.x, p.y);
-    for (std::uint32_t i = 0; i < p.cell_count; ++i) {
-      grid->mark(static_cast<int>(cells_[cursor + i]), p.x, p.y);
-    }
-    cursor += p.cell_count;
-  }
-  assert(cursor == cells_.size());
 }
 
 }  // namespace now

@@ -10,8 +10,8 @@
 // valid with shadows off, otherwise occluder motion would be missed).
 //
 // BufferedRayRecorder is the multithreaded variant: it performs the same DDA
-// walk but defers the grid updates into a private per-chunk buffer, which
-// the renderer replays into the shared CoherenceGrid in fixed chunk order
+// walk but defers the grid updates into a private per-chunk MarkBuffer,
+// which the renderer hands to CoherenceGrid::merge in fixed chunk order
 // after the parallel section — the grid ends byte-identical to a sequential
 // render (see CoherentRenderer's "Intra-worker parallelism" notes).
 #pragma once
@@ -54,16 +54,17 @@ class RayRecorder final : public RayListener {
 
 /// Mark buffer for one render chunk. The owning render thread announces each
 /// pixel with begin_pixel() before shading it; every subsequent segment's
-/// DDA-visited cells are appended to that pixel's entry. replay() then feeds
-/// the buffered sequence through CoherenceGrid in recording order.
+/// DDA-visited cells are appended to that pixel's entry. CoherenceGrid::merge
+/// then stores the buffered marks in recording order.
 ///
 /// Dedup invariant: sequential rendering processes each pixel contiguously,
 /// so the grid's "skip the immediate duplicate" tail check collapses to "at
 /// most one mark per (pixel, cell) per frame". The recorder applies exactly
 /// that rule at buffer time (via a caller-owned stamp array, reusable across
-/// chunks on the same pool worker), and replay still goes through
-/// CoherenceGrid::mark, whose own tail check handles the chunk-boundary
-/// cases — the stored mark lists end byte-identical to a sequential render.
+/// chunks on the same pool worker); a pixel's epoch bump (or the grid reset
+/// before a full render) rules out the remaining cross-frame duplicate, so
+/// the merge needs no tail check and the stored mark lists end
+/// byte-identical to a sequential render.
 class BufferedRayRecorder final : public RayListener {
  public:
   /// `cell_stamp` must have grid.cell_count() entries and live as long as
@@ -83,30 +84,17 @@ class BufferedRayRecorder final : public RayListener {
   void on_segment(int px, int py, const Ray& ray, double t_end,
                   RayKind kind) override;
 
-  /// Feed the buffered pixels into `grid` in recording order. When
-  /// `bump_epochs` (incremental renders), each pixel's stale marks are
-  /// retired with CoherenceGrid::begin_pixel first, exactly as the
-  /// sequential recompute loop does.
-  void replay(CoherenceGrid* grid, bool bump_epochs) const;
+  /// The marks buffered so far, for CoherenceGrid::merge.
+  const MarkBuffer& marks() const { return marks_; }
 
   const RayRecorderStats& stats() const { return stats_; }
-  std::int64_t pixels() const {
-    return static_cast<std::int64_t>(pixels_.size());
-  }
 
  private:
-  struct PixelEntry {
-    std::int32_t x;
-    std::int32_t y;
-    std::uint32_t cell_count;  // marks buffered for this pixel
-  };
-
   const VoxelGrid& grid_;
   bool record_shadow_rays_;
   std::vector<std::uint64_t>* cell_stamp_;
   std::uint64_t* stamp_serial_;
-  std::vector<PixelEntry> pixels_;
-  std::vector<std::uint32_t> cells_;  // concatenated per-pixel mark cells
+  MarkBuffer marks_;
   RayRecorderStats stats_;
 };
 

@@ -11,8 +11,11 @@
 
 #include "src/core/coherent_renderer.h"
 #include "src/core/thread_pool.h"
+#include "src/geom/box.h"
+#include "src/geom/cylinder.h"
 #include "src/geom/plane.h"
 #include "src/geom/sphere.h"
+#include "src/math/rng.h"
 #include "src/scene/builtin_scenes.h"
 
 namespace now {
@@ -74,6 +77,7 @@ struct FrameObservation {
   Framebuffer fb;
   FrameRenderResult result;
   CoherenceGridStats grid;
+  PixelMask predicted;  // predict_dirty(frame + 1); empty on the last frame
 };
 
 /// Render every frame of `scene` with the given options and capture
@@ -88,7 +92,12 @@ std::vector<FrameObservation> observe(const AnimatedScene& scene,
   std::vector<FrameObservation> out;
   for (int frame = 0; frame < scene.frame_count(); ++frame) {
     FrameRenderResult r = renderer.render_frame(frame, &fb);
-    out.push_back({fb, std::move(r), renderer.coherence_grid().stats()});
+    PixelMask predicted;
+    if (frame + 1 < scene.frame_count()) {
+      predicted = renderer.predict_dirty(frame + 1);
+    }
+    out.push_back({fb, std::move(r), renderer.coherence_grid().stats(),
+                   std::move(predicted)});
   }
   return out;
 }
@@ -119,6 +128,9 @@ void expect_identical_runs(const AnimatedScene& scene, const PixelRect& region,
     EXPECT_EQ(a.grid.live_marks, b.grid.live_marks);
     EXPECT_EQ(a.grid.total_marks, b.grid.total_marks);
     EXPECT_EQ(a.grid.compactions, b.grid.compactions);
+    EXPECT_EQ(a.grid.reserved_marks, b.grid.reserved_marks);
+    EXPECT_EQ(a.grid.fixed_bytes, b.grid.fixed_bytes);
+    EXPECT_TRUE(a.predicted == b.predicted);
     // Sequential renders carry no chunk timings; threaded full-region
     // renders must cover the region's row bands exactly once.
     EXPECT_TRUE(a.result.chunks.empty());
@@ -188,6 +200,95 @@ AnimatedScene all_dirty_scene(int frames) {
 
 TEST(ThreadedRenderer, AllDirtyFramesMatchSequential) {
   expect_identical_runs(all_dirty_scene(4), {0, 0, 48, 36}, {}, 4);
+}
+
+/// random_scene's layout — floor, random spheres, boxes and cylinders,
+/// random_scene's camera and light — but every object translates, where
+/// random_scene leaves about half of them static. Most pixels are dirty
+/// every frame, so the threaded merge carries most of the grid's marks.
+AnimatedScene high_motion_scene(std::uint64_t seed, int objects, int frames) {
+  Rng rng(seed);
+  AnimatedScene scene;
+  scene.set_frames(frames, 15.0);
+  scene.set_resolution(48, 36);
+  const int floor_mat =
+      scene.add_material(Material::matte(Color{0.6, 0.6, 0.6}));
+  scene.add_object("floor", std::make_unique<Plane>(Vec3{0, 1, 0}, -1.0),
+                   floor_mat);
+  for (int i = 0; i < objects; ++i) {
+    Material m = Material::matte(Color{rng.uniform(0.2, 0.95),
+                                       rng.uniform(0.2, 0.95),
+                                       rng.uniform(0.2, 0.95)});
+    if (i % 4 == 0) m.reflectivity = rng.uniform(0.2, 0.7);
+    const int mat = scene.add_material(m);
+    const Vec3 pos = rng.point_in_box({-2.5, -0.8, -3.5}, {2.5, 2.0, -0.5});
+    std::unique_ptr<Primitive> prim;
+    switch (i % 3) {
+      case 0:
+        prim = std::make_unique<Sphere>(pos, rng.uniform(0.2, 0.6));
+        break;
+      case 1:
+        prim = std::make_unique<Box>(
+            pos, rng.point_in_box({0.15, 0.15, 0.15}, {0.5, 0.5, 0.5}),
+            Mat3::rotation_y(rng.uniform(0.0, kTwoPi)));
+        break;
+      default:
+        prim = std::make_unique<Cylinder>(
+            pos, pos + rng.unit_vector() * rng.uniform(0.4, 1.0),
+            rng.uniform(0.08, 0.25));
+        break;
+    }
+    Spline path(InterpMode::kLinear);
+    path.add_key(0.0, Vec3{0, 0, 0});
+    path.add_key(frames / 15.0, rng.unit_vector() * rng.uniform(0.5, 1.5));
+    scene.add_object("mover" + std::to_string(i), std::move(prim), mat,
+                     std::make_unique<KeyframeAnimator>(std::move(path)));
+  }
+  scene.add_light(Light::point({2, 4, 2}, Color::white(), 0.9));
+  scene.set_camera(
+      Camera{{0, 1.0, 3.0}, {0, 0.4, -2.0}, {0, 1, 0}, 50.0, 48.0 / 36.0});
+  return scene;
+}
+
+TEST(ThreadedRenderer, HighMotionSceneMatchesSequential) {
+  const AnimatedScene scene = high_motion_scene(7, 24, 5);
+  for (const int threads : {2, 3, 4}) {
+    expect_identical_runs(scene, {0, 0, 48, 36}, {}, threads);
+  }
+}
+
+// predict_dirty is a read-only query: it must neither drop stale marks nor
+// change what the next frame renders.
+TEST(CoherentRenderer, PredictDirtyLeavesGridUntouched) {
+  const AnimatedScene scene = high_motion_scene(3, 16, 4);
+  const PixelRect region{0, 0, 48, 36};
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    CoherenceOptions options;
+    options.threads = threads;
+    CoherentRenderer predicting(scene, region, options);
+    CoherentRenderer plain(scene, region, options);
+    Framebuffer fb(48, 36);
+    Framebuffer plain_fb(48, 36);
+    for (int frame = 0; frame < scene.frame_count(); ++frame) {
+      if (frame > 0) {
+        const CoherenceGridStats before = predicting.coherence_grid().stats();
+        predicting.predict_dirty(frame);
+        const CoherenceGridStats& after = predicting.coherence_grid().stats();
+        EXPECT_EQ(before.live_marks, after.live_marks);
+        EXPECT_EQ(before.total_marks, after.total_marks);
+        EXPECT_EQ(before.compactions, after.compactions);
+        EXPECT_EQ(before.reserved_marks, after.reserved_marks);
+      }
+      const FrameRenderResult r = predicting.render_frame(frame, &fb);
+      const FrameRenderResult plain_r = plain.render_frame(frame, &plain_fb);
+      EXPECT_EQ(fb, plain_fb) << "frame " << frame;
+      EXPECT_TRUE(r.recomputed == plain_r.recomputed) << "frame " << frame;
+      EXPECT_EQ(predicting.coherence_grid().stats().total_marks,
+                plain.coherence_grid().stats().total_marks)
+          << "frame " << frame;
+    }
+  }
 }
 
 // Regression for the stale-mark leak: the all_dirty incremental path must
