@@ -1,12 +1,11 @@
 // Accelerator baseline comparison: the paper-era uniform grid (Glassner
-// 1984, as in POV-Ray 3.0) vs a BVH vs brute force — wall-clock per frame
-// across scene sizes. All three produce identical images (asserted).
+// 1984, as in POV-Ray 3.0) vs brute force — wall-clock per frame across
+// scene sizes. Both produce identical images (asserted).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 
 #include "bench/bench_util.h"
-#include "src/trace/bvh.h"
 #include "src/trace/uniform_grid.h"
 
 namespace now {
@@ -28,9 +27,9 @@ int run(bool quick) {
   std::printf("accelerator comparison — orbit scenes at %dx%d, wall clock "
               "per frame\n\n",
               w, h);
-  std::printf("%10s %14s %14s %14s %12s %12s\n", "objects", "brute ms",
-              "grid ms", "bvh ms", "grid gain", "bvh gain");
-  bench::print_rule(82);
+  std::printf("%10s %14s %14s %12s\n", "objects", "brute ms", "grid ms",
+              "grid gain");
+  bench::print_rule(54);
 
   for (const int objects : {5, 20, 50, 100, quick ? 150 : 250}) {
     const AnimatedScene scene = orbit_scene(objects, 1, w, h);
@@ -38,25 +37,20 @@ int run(bool quick) {
 
     const BruteForceAccelerator brute(world);
     const UniformGridAccelerator grid(world);
-    const BvhAccelerator bvh(world);
 
-    Framebuffer fb_brute, fb_grid, fb_bvh;
+    Framebuffer fb_brute, fb_grid;
     const double ms_brute = render_ms(world, brute, w, h, &fb_brute);
     const double ms_grid = render_ms(world, grid, w, h, &fb_grid);
-    const double ms_bvh = render_ms(world, bvh, w, h, &fb_bvh);
 
-    if (!(fb_brute == fb_grid) || !(fb_brute == fb_bvh)) {
+    if (!(fb_brute == fb_grid)) {
       std::fprintf(stderr, "FATAL: accelerators disagree at %d objects\n",
                    objects);
       return 1;
     }
-    std::printf("%10d %14.1f %14.1f %14.1f %11.2fx %11.2fx\n", objects,
-                ms_brute, ms_grid, ms_bvh, ms_brute / ms_grid,
-                ms_brute / ms_bvh);
+    std::printf("%10d %14.1f %14.1f %11.2fx\n", objects, ms_brute, ms_grid,
+                ms_brute / ms_grid);
   }
-  std::printf("\n[verified: identical images from all three accelerators]\n");
-  std::printf("the uniform grid is the paper's accelerator; the BVH is the "
-              "modern baseline\n");
+  std::printf("\n[verified: identical images from both accelerators]\n");
   return 0;
 }
 

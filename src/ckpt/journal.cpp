@@ -303,7 +303,8 @@ JournalReplay replay_journal(const std::string& path) {
       out.truncated_tail = true;
       break;
     }
-    const std::uint32_t want_crc = crc32(bytes.data() + pos + 4, 5 + len);
+    const std::uint32_t want_crc = crc32(
+        static_cast<const void*>(bytes.data() + pos + 4), 5 + len);
     const std::string crc_bytes = bytes.substr(pos + 9 + len, 4);
     WireReader tail(crc_bytes);
     std::uint32_t got_crc = 0;

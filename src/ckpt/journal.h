@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/image/framebuffer.h"
+#include "src/obs/straggler.h"
 
 namespace now {
 
@@ -89,13 +90,7 @@ struct CheckpointRecord {
   /// Per-worker straggler statistics (EWMA render time, deviation band,
   /// sample count, flagged level) so a restarted scheduler ranks
   /// speculation victims with the dead run's knowledge instead of cold.
-  struct StragglerStat {
-    std::int32_t worker = -1;
-    double ewma = 0.0;
-    double dev = 0.0;
-    std::int32_t n = 0;
-    bool flagged = false;
-  };
+  using StragglerStat = StragglerDetector::Snapshot;
 
   std::vector<bool> completed;  // one bit per frame
   std::vector<Task> pending;

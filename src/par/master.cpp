@@ -9,19 +9,6 @@ namespace now {
 
 namespace {
 
-/// Frames [first, end) of `task` as a new task with id `task_id`.
-RenderTask sub_task(const RenderTask& task, std::int32_t task_id,
-                    std::int32_t first, std::int32_t end) {
-  RenderTask out;
-  out.task_id = task_id;
-  out.region = task.region;
-  out.first_frame = first;
-  out.frame_count = end - first;
-  out.scene_id = task.scene_id;
-  out.frame_delta = task.frame_delta;
-  return out;
-}
-
 /// Call fn(f, b) for each maximal run [f, b) of frames in [lo, hi) where
 /// keep(frame) holds.
 template <typename Keep, typename Fn>
@@ -64,9 +51,9 @@ void RenderMaster::on_start(Context& ctx) {
   const int h = scene_.height();
   const bool sharded = config_.shards.sharded();
   // In sharded mode the trailing ranks are FrameShard actors, not workers:
-  // every `w < workers_.size()` loop (dispatch, leases, speculation,
-  // checkpoints, liveness) must exclude them, so the bookkeeping vector
-  // stops at the last worker rank. In service mode the trailing ranks are
+  // every `w < workers_.end_rank()` loop (dispatch, leases, speculation,
+  // checkpoints, liveness) must exclude them, so the worker table stops at
+  // the last worker rank. In service mode the trailing ranks are
   // ShotClient actors instead, excluded the same way.
   const int worker_count =
       sharded ? config_.shards.worker_count
@@ -74,7 +61,7 @@ void RenderMaster::on_start(Context& ctx) {
   assert(worker_count >= 1);
   assert(!sharded || ctx.world_size() == config_.shards.world_size());
   assert(solo || (!sharded && config_.recovery == nullptr));
-  workers_.assign(static_cast<std::size_t>(worker_count) + 1, {});
+  workers_ = WorkerTable(worker_count, config_.shards);
   report_.frames_by_worker.assign(static_cast<std::size_t>(worker_count) + 1,
                                   0);
   // The scheduler's bookkeeping mirrors the store(s): areas and gates are
@@ -100,9 +87,8 @@ void RenderMaster::on_start(Context& ctx) {
         ++report_.frames_restored;
       }
     }
-    if (config_.tracer != nullptr && report_.frames_restored > 0) {
-      config_.tracer->instant(ctx.rank(), "sched", "resume.restore", ctx.now(),
-                              {{"frames", report_.frames_restored}});
+    if (report_.frames_restored > 0) {
+      trace(ctx, "resume.restore", {{"frames", report_.frames_restored}});
     }
   }
   // A solo render is one tenant-less shot over the whole animation.
@@ -191,8 +177,10 @@ void RenderMaster::on_start(Context& ctx) {
     shard_states_.assign(
         static_cast<std::size_t>(config_.shards.shard_count), {});
     for (int i = 0; i < config_.shards.shard_count; ++i) {
-      shard_states_[i].last_heard = ctx.now();
-      arm_shard_lease(ctx, i, config_.fault.lease_base_seconds, 0);
+      shard_states_[i].lease.length = config_.fault.lease_base_seconds;
+      shard_states_[i].lease.restart(ctx.now());
+      arm_lease(ctx, kTagShardCheck, i, -1, config_.fault.lease_base_seconds,
+                0);
     }
   }
   // Everything restored: stop before any worker is put to work.
@@ -215,24 +203,21 @@ void RenderMaster::on_message(Context& ctx, const Message& msg) {
   }
   ctx.charge(config_.cost.master_per_message_seconds);
   // Every message a live worker sends doubles as a heartbeat.
-  if (msg.source >= 1 && msg.source < static_cast<int>(workers_.size())) {
-    WorkerState& s = workers_[msg.source];
-    if (!s.dead) s.last_heard = ctx.now();
-  } else if (!shard_states_.empty() &&
-             msg.source >= static_cast<int>(workers_.size())) {
+  if (workers_.contains(msg.source)) {
+    workers_.heard(msg.source, ctx.now());
+  } else if (!shard_states_.empty() && msg.source >= workers_.end_rank()) {
     // Same for shard ranks: any message (digest, pong, hello) renews the
     // shard's liveness lease. A declared-dead shard earns nothing until it
     // re-admits through handle_shard_hello.
-    const int shard = msg.source - static_cast<int>(workers_.size());
+    const int shard = msg.source - workers_.end_rank();
     if (shard < static_cast<int>(shard_states_.size()) &&
         !shard_states_[shard].dead) {
-      shard_states_[shard].last_heard = ctx.now();
+      shard_states_[shard].lease.last_heard = ctx.now();
     }
   }
   switch (msg.tag) {
     case kTagHello:
-      if (config_.shards.sharded() &&
-          msg.source >= static_cast<int>(workers_.size())) {
+      if (config_.shards.sharded() && msg.source >= workers_.end_rank()) {
         // A shard rank announcing itself: failover re-admission, never an
         // idle worker (handle_idle would index workers_ out of range).
         handle_shard_hello(ctx, msg.source);
@@ -264,10 +249,8 @@ void RenderMaster::on_message(Context& ctx, const Message& msg) {
     case kTagPong:
       break;  // the heartbeat update above is the whole point
     case kTagLeaseCheck:
-      handle_lease_check(ctx, msg);
-      break;
     case kTagShardCheck:
-      handle_shard_check(ctx, msg);
+      handle_lease_check(ctx, msg);
       break;
     case kTagShotSubmit:
       handle_shot_submit(ctx, msg);
@@ -287,44 +270,24 @@ void RenderMaster::on_message(Context& ctx, const Message& msg) {
 }
 
 void RenderMaster::handle_idle(Context& ctx, int worker, bool hello) {
-  if (worker < 1 || worker >= static_cast<int>(workers_.size())) {
+  if (!workers_.contains(worker)) {
     return;  // not a worker rank (e.g. a confused service client)
   }
-  WorkerState& state = workers_[worker];
-  if (state.dead) {
-    if (!hello) return;
-    // Elastic membership: a Hello from a declared-dead rank means the
-    // process restarted. Re-admit it with a clean slate — its old task was
-    // already reclaimed at death, and its first new frame is a dense
-    // coherence restart like any fresh assignment. A stale idle-queue entry
-    // from before the death stays valid, so don't enqueue twice.
-    const bool was_queued = state.queued;
-    state = WorkerState{};
-    state.queued = was_queued;
-    state.last_heard = ctx.now();
-    state.last_progress = ctx.now();
-    ++fault_report_.workers_rejoined;
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(ctx.rank(), "sched", "worker.rejoin", ctx.now(),
-                              {{"worker", worker}});
-    }
-  }
-  state.known = true;
-  if (state.active && !state.cancelled &&
-      state.next_expected < state.end_frame) {
-    if (config_.shards.sharded() && !hello) {
-      // Sharded mode: the worker's results went to the shards and their
-      // digests may still be in flight behind this request (different
-      // senders, no cross-sender ordering). Park the idle transition; the
-      // digest chain catching up — or the task being written off —
-      // releases it. A genuine loss still surfaces through the lease.
-      state.request_pending = true;
+  switch (workers_.admit(worker, hello, ctx.now())) {
+    case WorkerTable::Admit::kIgnored:
+    case WorkerTable::Admit::kParked:
       return;
-    }
-    // The worker says its task is finished but results are missing. Sends
-    // are per-sender FIFO, so anything still unseen was lost in transit
-    // (e.g. the task's final frame result): write it off and re-enqueue.
-    cancel_and_reclaim(ctx, worker);
+    case WorkerTable::Admit::kRejoined:
+      // Its first new frame is a dense coherence restart like any fresh
+      // assignment.
+      ++fault_report_.workers_rejoined;
+      trace(ctx, "worker.rejoin", {{"worker", worker}});
+      break;
+    case WorkerTable::Admit::kLost:
+      cancel_and_reclaim(ctx, worker);
+      break;
+    case WorkerTable::Admit::kReady:
+      break;
   }
   make_idle(worker);
   try_dispatch(ctx);
@@ -332,20 +295,8 @@ void RenderMaster::handle_idle(Context& ctx, int worker, bool hello) {
 }
 
 void RenderMaster::make_idle(int worker) {
-  WorkerState& s = workers_[worker];
   release_assignment(worker);
-  s.active = false;
-  s.cancelled = false;
-  s.request_pending = false;
-  s.deferred_frames.clear();
-  // A worker asking for work has no task left to shrink; a shrink ack still
-  // in flight (e.g. the shrink reached a rank that crashed and rejoined)
-  // will arrive with nothing to steal and is harmless.
-  s.awaiting_ack = false;
-  if (!s.queued) {
-    s.queued = true;
-    idle_.push_back(worker);
-  }
+  workers_.make_idle(worker);
 }
 
 void RenderMaster::assign(Context& ctx, int worker, RenderTask task) {
@@ -353,34 +304,22 @@ void RenderMaster::assign(Context& ctx, int worker, RenderTask task) {
   // task id — so a requeued task (nack, reclaim) restarts the same flow
   // chain and every result/digest can be tied back to this assignment.
   task.trace_ctx = static_cast<std::uint64_t>(task.task_id) + 1;
-  WorkerState& state = workers_[worker];
-  state.active = true;
-  state.cancelled = false;
-  state.task = task;
-  state.next_expected = task.first_frame;
-  state.end_frame = task.end_frame();
+  workers_.assign(worker, task);
   if (config_.fault.enabled) {
     // Lease scaled by assigned task cost: a bigger frame range legitimately
     // keeps a worker silent for longer before its first result.
-    state.last_heard = ctx.now();
-    state.last_progress = ctx.now();
-    state.ping_time = -1.0;
-    state.lease_seconds =
-        config_.fault.lease_base_seconds +
-        config_.fault.lease_per_frame_seconds * task.frame_count;
-    LeaseCheck check;
-    check.worker = worker;
-    check.task_id = task.task_id;
-    check.phase = 0;
-    ctx.send_after(state.lease_seconds, kTagLeaseCheck,
-                   encode_lease_check(check));
+    Lease& lease = workers_.lease(worker);
+    lease.length = config_.fault.lease_base_seconds +
+                   config_.fault.lease_per_frame_seconds * task.frame_count;
+    lease.restart(ctx.now());
+    arm_lease(ctx, kTagLeaseCheck, worker, task.task_id, lease.length, 0);
   }
+  trace(ctx, "task.assign",
+        {{"worker", worker},
+         {"task", task.task_id},
+         {"first_frame", task.first_frame},
+         {"frames", task.frame_count}});
   if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "task.assign", ctx.now(),
-                            {{"worker", worker},
-                             {"task", task.task_id},
-                             {"first_frame", task.first_frame},
-                             {"frames", task.frame_count}});
     // One flow start per frame in the assignment: each frame's life is its
     // own chain (render → send → commit → ack), all anchored here.
     for (std::int32_t f = task.first_frame; f < task.end_frame(); ++f) {
@@ -402,17 +341,10 @@ bool RenderMaster::task_fully_committed(const RenderTask& task) const {
 }
 
 void RenderMaster::try_dispatch(Context& ctx) {
-  while (!idle_.empty()) {
-    const int worker = idle_.front();
-    if (workers_[worker].dead) {
-      idle_.pop_front();
-      workers_[worker].queued = false;
-      continue;
-    }
+  for (int worker; (worker = workers_.idle_front()) >= 0;) {
     const ShotQueue::Pick pick = queue_.next(committed_, blocked_);
     if (pick.kind == ShotQueue::PickKind::kTask) {
-      idle_.pop_front();
-      workers_[worker].queued = false;
+      workers_.pop_idle();
       charge_tenant(ctx, worker, pick);
       assign(ctx, worker, pick.task);
       continue;
@@ -437,16 +369,8 @@ bool RenderMaster::try_speculate(Context& ctx) {
   // End-game gate: nothing pending, and strictly more idle live workers
   // than tasks still running — duplicating the straggler costs capacity
   // that would otherwise sit idle until the last frame lands.
-  int idle_live = 0;
-  for (const int w : idle_) {
-    if (!workers_[w].dead) ++idle_live;
-  }
-  int active_tasks = 0;
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    const WorkerState& s = workers_[w];
-    if (s.active && !s.cancelled && !s.dead) ++active_tasks;
-  }
-  if (active_tasks == 0 || idle_live <= active_tasks) return false;
+  const int active_tasks = workers_.busy_count();
+  if (active_tasks == 0 || workers_.idle_live() <= active_tasks) return false;
 
   // Victim: the worker expected to hold the end-game longest. Expected cost
   // is remaining frames × the worker's EWMA per-frame render time from the
@@ -454,12 +378,12 @@ bool RenderMaster::try_speculate(Context& ctx) {
   // duplicated ahead of one that merely holds more frames. With no samples
   // yet every worker scores at the fleet mean and this reduces to the old
   // most-remaining rule.
-  const int victim = split_victim(/*by_expected_time=*/true);
+  const int victim = workers_.split_victim(spec_partner_, &straggler_);
   if (victim < 0) return false;
 
   // Clones are speculative, not admitted work: they stay uncharged against
   // the tenant's quota and are the first thing backlog preemption dissolves.
-  const WorkerState& vs = workers_[victim];
+  const WorkerTable::Worker& vs = workers_[victim];
   const RenderTask clone =
       sub_task(vs.task, next_task_id_++, vs.next_expected, vs.end_frame);
   spec_partner_[clone.task_id] = vs.task.task_id;
@@ -467,78 +391,54 @@ bool RenderMaster::try_speculate(Context& ctx) {
   spec_tasks_.insert(clone.task_id);
   spec_tasks_.insert(vs.task.task_id);
   ++fault_report_.speculations_launched;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "task.speculate", ctx.now(),
-                            {{"victim", victim},
-                             {"task", clone.task_id},
-                             {"first_frame", clone.first_frame},
-                             {"frames", clone.frame_count}});
-  }
-  const int worker = idle_.front();
-  idle_.pop_front();
-  workers_[worker].queued = false;
+  trace(ctx, "task.speculate",
+        {{"victim", victim},
+         {"task", clone.task_id},
+         {"first_frame", clone.first_frame},
+         {"frames", clone.frame_count}});
+  const int worker = workers_.idle_front();
+  workers_.pop_idle();
   assign(ctx, worker, clone);
   return true;
 }
 
 void RenderMaster::finish_speculation(Context& ctx, std::int32_t winner_task,
                                       std::int32_t loser_task) {
-  spec_partner_.erase(winner_task);
-  spec_partner_.erase(loser_task);
   ++fault_report_.speculations_won;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "speculate.won", ctx.now(),
-                            {{"winner", winner_task}, {"loser", loser_task}});
-  }
-  // Shrink the losing copy back to what it already delivered; its remaining
-  // frames are committed, so the master's view of its task ends now.
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    WorkerState& s = workers_[w];
-    if (!s.active || s.dead || s.cancelled || s.task.task_id != loser_task) {
-      continue;
-    }
-    s.end_frame = std::min(s.end_frame, s.next_expected);
-    if (!s.awaiting_ack) shrink(ctx, w, s.next_expected);
-    break;
-  }
+  trace(ctx, "speculate.won", {{"winner", winner_task}, {"loser", loser_task}});
+  // The losing copy's remaining frames are committed, so the master's view
+  // of its task ends at what it already delivered.
+  const int loser = workers_.holder(loser_task);
+  if (loser >= 0) stop_at_delivered(ctx, loser);
 }
 
-int RenderMaster::split_victim(bool by_expected_time) const {
-  int victim = -1;
-  double best_score = 0.0;
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    const WorkerState& s = workers_[w];
-    if (!s.active || s.awaiting_ack || s.dead || s.cancelled) continue;
-    // A paired task's remainder is already being rendered twice; splitting
-    // or cloning it again only manufactures duplicates.
-    if (spec_partner_.count(s.task.task_id) > 0) continue;
-    const std::int32_t remaining = s.end_frame - s.next_expected;
-    if (remaining < 1) continue;
-    const double score =
-        by_expected_time ? remaining * straggler_.expected_seconds(w)
-                         : static_cast<double>(remaining);
-    if (score > best_score) {
-      best_score = score;
-      victim = w;
-    }
+std::int32_t RenderMaster::unpair(std::int32_t task) {
+  const auto it = spec_partner_.find(task);
+  if (it == spec_partner_.end()) return -1;
+  const std::int32_t partner = it->second;
+  spec_partner_.erase(it);
+  spec_partner_.erase(partner);
+  return partner;
+}
+
+void RenderMaster::stop_at_delivered(Context& ctx, int worker) {
+  if (workers_.stop_at_delivered(worker)) {
+    shrink(ctx, worker, workers_[worker].next_expected);
   }
-  return victim;
 }
 
 bool RenderMaster::try_adaptive_split(Context& ctx) {
   // Victim: the active worker with the most unreported frames remaining.
-  const int victim = split_victim(/*by_expected_time=*/false);
+  const int victim = workers_.split_victim(spec_partner_, nullptr);
   if (victim < 0) return false;
-  const WorkerState& s = workers_[victim];
+  const WorkerTable::Worker& s = workers_[victim];
   const std::int32_t remaining = s.end_frame - s.next_expected;
   if (remaining < config_.partition.min_split_frames) return false;
   const std::int32_t new_end = s.end_frame - remaining / 2;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "task.shrink", ctx.now(),
-                            {{"victim", victim},
-                             {"task", s.task.task_id},
-                             {"new_end_frame", new_end}});
-  }
+  trace(ctx, "task.shrink",
+        {{"victim", victim},
+         {"task", s.task.task_id},
+         {"new_end_frame", new_end}});
   shrink(ctx, victim, new_end);
   return true;
 }
@@ -549,30 +449,18 @@ void RenderMaster::handle_shrink_ack(Context& ctx, const Message& msg) {
     ++fault_report_.results_ignored;  // corrupt peer message: drop it
     return;
   }
-  if (msg.source < 1 || msg.source >= static_cast<int>(workers_.size())) {
-    return;
-  }
-  WorkerState& s = workers_[msg.source];
-  if (s.dead) return;
-  s.awaiting_ack = false;
-  if (ack.honored_end_frame >= 0 && s.active && !s.cancelled &&
-      cancelled_tasks_.count(ack.task_id) == 0 &&
-      s.task.task_id == ack.task_id &&
-      ack.honored_end_frame < s.end_frame) {
+  if (!workers_.contains(msg.source) || workers_.dead(msg.source)) return;
+  if (std::optional<RenderTask> stolen = workers_.shrink_ack(msg.source, ack)) {
     // The stolen range becomes a fresh task for an idle worker.
-    const RenderTask stolen = sub_task(s.task, next_task_id_++,
-                                       ack.honored_end_frame, s.end_frame);
-    s.end_frame = ack.honored_end_frame;
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(ctx.rank(), "sched", "task.split", ctx.now(),
-                              {{"victim", msg.source},
-                               {"task", stolen.task_id},
-                               {"first_frame", stolen.first_frame},
-                               {"frames", stolen.frame_count}});
-    }
+    stolen->task_id = next_task_id_++;
+    trace(ctx, "task.split",
+          {{"victim", msg.source},
+           {"task", stolen->task_id},
+           {"first_frame", stolen->first_frame},
+           {"frames", stolen->frame_count}});
     // Stolen work stays in its shot; a shot cancelled while the shrink was
     // in flight drops the range (its area is written off).
-    if (queue_.requeue(stolen)) ++report_.adaptive_splits;
+    if (queue_.requeue(*stolen)) ++report_.adaptive_splits;
   }
   try_dispatch(ctx);
   maybe_finish(ctx);
@@ -584,11 +472,8 @@ void RenderMaster::handle_task_nack(Context& ctx, const Message& msg) {
     ++fault_report_.results_ignored;  // corrupt peer message: drop it
     return;
   }
-  if (msg.source < 1 || msg.source >= static_cast<int>(workers_.size())) {
-    return;
-  }
-  WorkerState& s = workers_[msg.source];
-  if (s.dead || !s.active || s.cancelled || s.task.task_id != nack.task_id) {
+  if (!workers_.contains(msg.source) ||
+      !workers_.holds(msg.source, nack.task_id)) {
     return;  // stale refusal: the assignment it covers is already gone
   }
   // The worker is busy with a different task, so this assignment will never
@@ -596,27 +481,12 @@ void RenderMaster::handle_task_nack(Context& ctx, const Message& msg) {
   // before rendering any frame of it, so it keeps its id, owes no results,
   // and pays no coherence-restart accounting.
   release_assignment(msg.source);
-  s.active = false;
+  const RenderTask task = workers_.nack(msg.source);
   ++fault_report_.tasks_nacked;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "task.nack", ctx.now(),
-                            {{"worker", msg.source},
-                             {"task", nack.task_id}});
-  }
-  if (s.end_frame > s.task.first_frame) {
-    queue_.requeue(
-        sub_task(s.task, s.task.task_id, s.task.first_frame, s.end_frame));
-  }
+  trace(ctx, "task.nack", {{"worker", msg.source}, {"task", nack.task_id}});
+  if (task.frame_count > 0) queue_.requeue(task);
   try_dispatch(ctx);
   maybe_finish(ctx);
-}
-
-void RenderMaster::release_pending_request(Context& ctx, int worker) {
-  if (!workers_[worker].request_pending) return;
-  // The parked kTagRequest finally has its digest chain complete: run the
-  // idle transition it was waiting for.
-  make_idle(worker);
-  try_dispatch(ctx);
 }
 
 void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
@@ -632,7 +502,7 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
     return;
   }
   if (!shard_states_.empty()) {
-    const int shard = msg.source - static_cast<int>(workers_.size());
+    const int shard = msg.source - workers_.end_rank();
     if (shard >= 0 && shard < static_cast<int>(shard_states_.size()) &&
         shard_states_[shard].dead) {
       // A declared-dead incarnation is still talking. Its commits were
@@ -653,11 +523,8 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
 void RenderMaster::apply_digest(Context& ctx, const CommitDigest& d) {
   // The digest vouches for a worker message a store received: credit the
   // worker's heartbeat even though the bytes may have come from a shard.
-  const bool known_worker =
-      d.worker >= 1 && d.worker < static_cast<int>(workers_.size());
-  if (known_worker && !workers_[d.worker].dead) {
-    workers_[d.worker].last_heard = ctx.now();
-  }
+  const bool known_worker = workers_.contains(d.worker);
+  if (known_worker) workers_.heard(d.worker, ctx.now());
   if (d.kind == CommitKind::kDecodeFail) {
     // The store could not even decode the envelope, so there is no task to
     // tie the loss to. The sender's chain now has a gap; the store rejects
@@ -690,12 +557,10 @@ void RenderMaster::apply_digest(Context& ctx, const CommitDigest& d) {
         // first frame re-renders pixels the dead worker had already paid for.
         fault_report_.restart_work_seconds += d.compute_seconds;
       }
-      if (config_.tracer != nullptr) {
-        config_.tracer->instant(ctx.rank(), "sched", "frame.digest", ctx.now(),
-                                {{"worker", d.worker},
-                                 {"frame", d.frame},
-                                 {"full", d.full_render ? 1 : 0}});
-      }
+      trace(ctx, "frame.digest",
+            {{"worker", d.worker},
+             {"frame", d.frame},
+             {"full", d.full_render ? 1 : 0}});
       note_commit(ctx, d.worker, d.task_id, d.trace_ctx, d.frame,
                   d.render_seconds);
       frame_area_missing_[d.frame] -= d.rect.area();
@@ -740,50 +605,31 @@ void RenderMaster::apply_digest(Context& ctx, const CommitDigest& d) {
 }
 
 void RenderMaster::advance_worker(Context& ctx, const CommitDigest& d) {
-  WorkerState& s = workers_[d.worker];
-  if (s.dead || cancelled_tasks_.count(d.task_id) > 0 || !s.active ||
-      s.cancelled || s.task.task_id != d.task_id) {
-    // Progress for an assignment that no longer exists: the global
-    // accounting was the whole story.
-    return;
-  }
-  // The store saw a gap (or a malformed result) in this task's chain, or
-  // the gap is within one store's digest stream — per-sender FIFO holds on
-  // the worker→store and shard→scheduler edges, so the missing frame was
-  // genuinely lost. Either way: write the task off, reclaim the remainder,
-  // tell the worker to stop.
-  if (d.kind == CommitKind::kChainReject ||
-      (d.frame > s.next_expected &&
-       config_.shards.shard_of(d.frame) ==
-           config_.shards.shard_of(s.next_expected))) {
-    write_off(ctx, d.worker);
-    try_dispatch(ctx);
-    return;
-  }
-  // A frame the chain already passed.
-  if (d.frame < s.next_expected) return;
-  if (d.frame > s.next_expected) {
-    // Cross-shard reordering: a later-owned frame's digest overtook an
-    // earlier shard's. Hold it; the chain drains it on catch-up.
-    s.deferred_frames.insert(d.frame);
-    return;
-  }
-  // In-order progress: advance the chain and drain anything the reorder
-  // buffer already holds.
-  s.next_expected = d.frame + 1;
-  s.last_progress = ctx.now();
-  s.ping_time = -1.0;
-  while (s.deferred_frames.count(s.next_expected) > 0) {
-    s.deferred_frames.erase(s.next_expected);
-    ++s.next_expected;
-  }
-  checkpoint_if_due();
-  if (s.next_expected >= s.end_frame) {
-    const auto it = spec_partner_.find(d.task_id);
-    if (it != spec_partner_.end()) {
-      finish_speculation(ctx, d.task_id, it->second);
+  switch (workers_.advance(d, ctx.now())) {
+    case WorkerTable::Advance::kIgnored:
+    case WorkerTable::Advance::kStale:
+    case WorkerTable::Advance::kDeferred:
+      return;
+    case WorkerTable::Advance::kGap:
+      // The missing frame was lost: write the task off, reclaim the
+      // remainder, tell the worker to stop.
+      write_off(ctx, d.worker);
+      try_dispatch(ctx);
+      return;
+    case WorkerTable::Advance::kProgressed:
+      checkpoint_if_due();
+      return;
+    case WorkerTable::Advance::kDone: {
+      checkpoint_if_due();
+      const std::int32_t loser = unpair(d.task_id);
+      if (loser >= 0) finish_speculation(ctx, d.task_id, loser);
+      // The chain caught up with a parked request: run its idle transition.
+      if (workers_[d.worker].request_pending) {
+        make_idle(d.worker);
+        try_dispatch(ctx);
+      }
+      return;
     }
-    release_pending_request(ctx, d.worker);
   }
 }
 
@@ -794,11 +640,8 @@ void RenderMaster::note_frame_complete(Context& ctx, std::int32_t frame) {
   // That was the last frame of a tenant's shot: report it done.
   const ShotQueue::Shot& shot = queue_.shots()[finished];
   ++report_.shots_completed;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "shot.done", ctx.now(),
-                            {{"shot", shot.shot_id},
-                             {"frames", shot.frame_count}});
-  }
+  trace(ctx, "shot.done",
+        {{"shot", shot.shot_id}, {"frames", shot.frame_count}});
   ShotUpdate update;
   update.shot_id = shot.shot_id;
   update.phase = ShotPhase::kDone;
@@ -829,30 +672,12 @@ void RenderMaster::write_checkpoint() {
     task.frame_count = t.frame_count;
     cp.pending.push_back(task);
   }
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    const WorkerState& s = workers_[w];
-    if (!s.active || s.cancelled || s.dead) continue;
-    CheckpointRecord::WorkerView view;
-    view.worker = w;
-    view.task_id = s.task.task_id;
-    view.rect = s.task.region;
-    view.next_expected = s.next_expected;
-    view.end_frame = s.end_frame;
-    cp.in_flight.push_back(view);
-  }
+  cp.in_flight = workers_.in_flight();
   // v2 trailer: enough to make a restarted scheduler byte-identical in its
   // decisions — fresh task ids never collide with pre-crash ones, and the
   // straggler EWMAs (which steer speculation victims) survive the restart.
   cp.next_task_id = next_task_id_;
-  for (const StragglerDetector::Snapshot& s : straggler_.snapshot()) {
-    CheckpointRecord::StragglerStat stat;
-    stat.worker = s.worker;
-    stat.ewma = s.ewma;
-    stat.dev = s.dev;
-    stat.n = s.n;
-    stat.flagged = s.flagged;
-    cp.stragglers.push_back(stat);
-  }
+  cp.stragglers = straggler_.snapshot();
   sink_->checkpoint(cp);
   digests_since_checkpoint_ = 0;
 }
@@ -866,42 +691,32 @@ void RenderMaster::sync_journal_stats() {
 }
 
 void RenderMaster::cancel_and_reclaim(Context& ctx, int worker) {
-  WorkerState& s = workers_[worker];
-  if (!s.active || s.cancelled) return;
+  if (!workers_.busy(worker)) return;
   release_assignment(worker);
-  s.cancelled = true;
-  cancelled_tasks_.insert(s.task.task_id);
   // A cancelled half of a speculated pair just dissolves the pair: the
   // survivor keeps rendering, the reclaim below double-covers the range,
   // and the idempotent-commit gate keeps whichever copy lands first.
-  const auto it = spec_partner_.find(s.task.task_id);
-  if (it != spec_partner_.end()) {
-    spec_partner_.erase(it->second);
-    spec_partner_.erase(s.task.task_id);
-  }
-  if (s.end_frame > s.next_expected) {
-    requeue_reclaim(
-        ctx, sub_task(s.task, -1, s.next_expected, s.end_frame), worker);
-  }
-  // Digests for the written-off range are moot; a parked request completes
-  // its idle transition now (every caller follows with try_dispatch, and a
-  // rank declared dead right after this is skipped by the dispatch loop).
-  s.deferred_frames.clear();
-  if (s.request_pending) make_idle(worker);
+  unpair(workers_[worker].task.task_id);
+  // A parked request completes its idle transition inside cancel (every
+  // caller follows with try_dispatch, and a rank declared dead right after
+  // this is skipped by the dispatch loop).
+  const RenderTask rest = workers_.cancel(worker);
+  if (rest.frame_count > 0) requeue_reclaim(ctx, rest, worker);
 }
 
 void RenderMaster::write_off(Context& ctx, int worker) {
   cancel_and_reclaim(ctx, worker);
-  const WorkerState& s = workers_[worker];
-  if (s.active && !s.awaiting_ack) shrink(ctx, worker, s.next_expected);
+  const WorkerTable::Worker& s = workers_[worker];
+  if (s.phase == WorkerPhase::kCancelled && !s.awaiting_ack) {
+    shrink(ctx, worker, s.next_expected);
+  }
 }
 
 void RenderMaster::shrink(Context& ctx, int worker, std::int32_t new_end) {
-  WorkerState& s = workers_[worker];
   ShrinkRequest req;
-  req.task_id = s.task.task_id;
+  req.task_id = workers_[worker].task.task_id;
   req.new_end_frame = new_end;
-  s.awaiting_ack = true;
+  workers_.shrink_sent(worker);
   ctx.send(worker, kTagShrink, encode_shrink(req));
 }
 
@@ -926,23 +741,14 @@ void RenderMaster::requeue_reclaim(Context& ctx, RenderTask reclaim,
 }
 
 void RenderMaster::declare_dead(Context& ctx, int worker) {
-  WorkerState& s = workers_[worker];
-  if (s.dead) return;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "worker.dead", ctx.now(),
-                            {{"worker", worker}});
-  }
+  if (workers_.dead(worker)) return;
+  trace(ctx, "worker.dead", {{"worker", worker}});
   ++fault_report_.deaths_detected;
-  fault_report_.detection_latency_seconds += ctx.now() - s.last_heard;
+  fault_report_.detection_latency_seconds +=
+      ctx.now() - workers_[worker].lease.last_heard;
   cancel_and_reclaim(ctx, worker);
-  s.dead = true;
-  s.active = false;
-  s.awaiting_ack = false;
-  bool any_alive = false;
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    if (!workers_[w].dead) any_alive = true;
-  }
-  if (!any_alive && !stopping_) {
+  workers_.declare_dead(worker);
+  if (!workers_.any_alive() && !stopping_) {
     // Nobody left to render the reclaimed work: stop with what we have
     // rather than waiting on leases that can never be renewed.
     stopping_ = true;
@@ -958,104 +764,77 @@ void RenderMaster::handle_lease_check(Context& ctx, const Message& msg) {
   const bool ok = decode_lease_check(&check, msg.payload);
   assert(ok);
   if (!ok || !config_.fault.enabled || stopping_) return;
-  if (check.worker < 1 || check.worker >= static_cast<int>(workers_.size())) {
-    return;
-  }
-  WorkerState& s = workers_[check.worker];
-  // Stale check: the assignment it covered is gone or already written off.
-  if (s.dead || !s.active || s.cancelled || s.task.task_id != check.task_id) {
-    return;
-  }
-
-  const double now = ctx.now();
-  // The lease demands *progress* (accepted frame results), not mere
-  // liveness: a worker whose assignment was lost in transit answers pings
-  // happily while rendering nothing, and a liveness lease would renew that
-  // forever.
-  const double expiry = s.last_progress + s.lease_seconds;
-  if (now < expiry) {
-    // Progress since this check was scheduled: renew.
-    LeaseCheck renew = check;
-    renew.phase = 0;
-    s.ping_time = -1.0;
-    ctx.send_after(expiry - now, kTagLeaseCheck, encode_lease_check(renew));
-    return;
-  }
-  if (check.phase == 0 || s.ping_time < 0.0) {
-    // Lease expired. One explicit ping, one grace period, then judgment.
-    s.ping_time = now;
-    ++fault_report_.pings_sent;
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(ctx.rank(), "sched", "lease.ping", now,
-                              {{"worker", check.worker},
-                               {"task", check.task_id}});
+  // `check.worker` is a worker rank, or for kTagShardCheck a shard index. A
+  // stale check — its worker's assignment gone or written off, its shard
+  // declared dead (re-admission restarts the chain) — ends here.
+  const bool shard = msg.tag == kTagShardCheck;
+  Lease* lease = nullptr;
+  if (shard) {
+    if (check.worker >= 0 &&
+        check.worker < static_cast<int>(shard_states_.size()) &&
+        !shard_states_[check.worker].dead) {
+      lease = &shard_states_[check.worker].lease;
     }
-    ctx.send(check.worker, kTagPing, {});
-    LeaseCheck grace = check;
-    grace.phase = 1;
-    ctx.send_after(config_.fault.ping_grace_seconds, kTagLeaseCheck,
-                   encode_lease_check(grace));
-    return;
+  } else if (workers_.contains(check.worker) &&
+             workers_.holds(check.worker, check.task_id)) {
+    lease = &workers_.lease(check.worker);
   }
-  if (s.last_heard >= s.ping_time) {
-    // Answered the ping but made no progress: alive but stuck. Write the
-    // task off — it will be re-rendered from a dense restart — and tell the
-    // worker to abandon any rendering it is silently doing. If it is truly
-    // idle (the assignment itself was lost) it rejoins on its next request.
-    write_off(ctx, check.worker);
-    try_dispatch(ctx);
-    maybe_finish(ctx);
-    return;
+  if (lease == nullptr) return;
+  const auto arm = [&](double delay, int phase) {
+    arm_lease(ctx, msg.tag, check.worker, check.task_id, delay, phase);
+  };
+  double renew_in = 0.0;
+  switch (lease->judge(ctx.now(), check.phase != 0, &renew_in)) {
+    case Lease::Verdict::kRenew:
+      arm(renew_in, 0);
+      return;
+    case Lease::Verdict::kPing:
+      if (shard) {
+        trace(ctx, "shard.ping", {{"shard", check.worker}});
+      } else {
+        trace(ctx, "lease.ping",
+              {{"worker", check.worker}, {"task", check.task_id}});
+      }
+      ++fault_report_.pings_sent;
+      ctx.send(shard ? workers_.end_rank() + check.worker : check.worker,
+               kTagPing, {});
+      arm(config_.fault.ping_grace_seconds, 1);
+      return;
+    case Lease::Verdict::kAnswered:
+      // A shard that answers is alive: back to a normal lease. A worker that
+      // answers without progress is stuck: write the task off — it will be
+      // re-rendered from a dense restart — and tell the worker to abandon
+      // any rendering it is silently doing. If it is truly idle (the
+      // assignment itself was lost) it rejoins on its next request.
+      if (shard) {
+        arm(lease->length, 0);
+        return;
+      }
+      write_off(ctx, check.worker);
+      try_dispatch(ctx);
+      maybe_finish(ctx);
+      return;
+    case Lease::Verdict::kSilent:
+      shard ? declare_shard_dead(ctx, check.worker)
+            : declare_dead(ctx, check.worker);
+      return;
   }
-  declare_dead(ctx, check.worker);
 }
 
-void RenderMaster::arm_shard_lease(Context& ctx, int shard, double delay,
-                                   int phase) {
+void RenderMaster::trace(Context& ctx, const char* name,
+                         std::initializer_list<TraceEvent::Arg> args) const {
+  if (config_.tracer != nullptr) {
+    config_.tracer->instant(ctx.rank(), "sched", name, ctx.now(), args);
+  }
+}
+
+void RenderMaster::arm_lease(Context& ctx, int tag, int subject,
+                             std::int32_t task_id, double delay, int phase) {
   LeaseCheck check;
-  check.worker = shard;  // shard index, not a worker rank
-  check.task_id = -1;
+  check.worker = subject;
+  check.task_id = task_id;
   check.phase = static_cast<std::uint8_t>(phase);
-  ctx.send_after(delay, kTagShardCheck, encode_lease_check(check));
-}
-
-void RenderMaster::handle_shard_check(Context& ctx, const Message& msg) {
-  LeaseCheck check;
-  const bool ok = decode_lease_check(&check, msg.payload);
-  assert(ok);
-  if (!ok || stopping_ || shard_states_.empty()) return;
-  const int shard = check.worker;
-  if (shard < 0 || shard >= static_cast<int>(shard_states_.size())) return;
-  ShardState& s = shard_states_[shard];
-  if (s.dead) return;  // chain ends at death; re-admission restarts it
-
-  const double now = ctx.now();
-  // Liveness, not progress: a shard whose owned range is complete commits
-  // nothing forever, so any message at all renews its lease.
-  const double expiry = s.last_heard + config_.fault.lease_base_seconds;
-  if (now < expiry) {
-    s.ping_time = -1.0;
-    arm_shard_lease(ctx, shard, expiry - now, 0);
-    return;
-  }
-  if (check.phase == 0 || s.ping_time < 0.0) {
-    s.ping_time = now;
-    ++fault_report_.pings_sent;
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(ctx.rank(), "sched", "shard.ping", now,
-                              {{"shard", shard}});
-    }
-    ctx.send(static_cast<int>(workers_.size()) + shard, kTagPing, {});
-    arm_shard_lease(ctx, shard, config_.fault.ping_grace_seconds, 1);
-    return;
-  }
-  if (s.last_heard >= s.ping_time) {
-    // Answered the ping: alive. Back to a normal lease.
-    s.ping_time = -1.0;
-    arm_shard_lease(ctx, shard, config_.fault.lease_base_seconds, 0);
-    return;
-  }
-  declare_shard_dead(ctx, shard);
+  ctx.send_after(delay, tag, encode_lease_check(check));
 }
 
 void RenderMaster::declare_shard_dead(Context& ctx, int shard) {
@@ -1063,13 +842,9 @@ void RenderMaster::declare_shard_dead(Context& ctx, int shard) {
   if (st.dead) return;
   st.dead = true;
   st.reset_sent = false;
-  st.ping_time = -1.0;
   ++fault_report_.shards_failed;
-  fault_report_.detection_latency_seconds += ctx.now() - st.last_heard;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "shard.dead", ctx.now(),
-                            {{"shard", shard}});
-  }
+  fault_report_.detection_latency_seconds += ctx.now() - st.lease.last_heard;
+  trace(ctx, "shard.dead", {{"shard", shard}});
   rollback_dead_shard(ctx, shard);
   try_dispatch(ctx);
   maybe_finish(ctx);
@@ -1103,10 +878,9 @@ void RenderMaster::rollback_dead_shard(Context& ctx, int shard) {
   // Workers mid-task on the dead range are rendering into the void: write
   // their tasks off now instead of waiting out progress leases that can
   // only expire.
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    WorkerState& s = workers_[w];
-    if (s.dead || !s.active || s.cancelled) continue;
-    if (s.next_expected < range.second && s.end_frame > range.first) {
+  for (int w = 1; w < workers_.end_rank(); ++w) {
+    if (workers_.busy(w) && workers_[w].next_expected < range.second &&
+        workers_[w].end_frame > range.first) {
       write_off(ctx, w);
     }
   }
@@ -1141,7 +915,7 @@ bool RenderMaster::task_blocked_by_dead_shard(const RenderTask& task) const {
 
 void RenderMaster::handle_shard_hello(Context& ctx, int source) {
   if (shard_states_.empty()) return;  // liveness off: nothing to re-admit
-  const int shard = source - static_cast<int>(workers_.size());
+  const int shard = source - workers_.end_rank();
   if (shard < 0 || shard >= static_cast<int>(shard_states_.size())) return;
   ShardState& st = shard_states_[shard];
   const bool was_dead = st.dead;
@@ -1154,17 +928,13 @@ void RenderMaster::handle_shard_hello(Context& ctx, int source) {
   }
   st.dead = false;
   st.reset_sent = false;
-  st.ping_time = -1.0;
-  st.last_heard = ctx.now();
+  st.lease.restart(ctx.now());
   ++fault_report_.shards_rejoined;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "shard.rejoin", ctx.now(),
-                            {{"shard", shard}});
-  }
+  trace(ctx, "shard.rejoin", {{"shard", shard}});
   if (was_dead) {
     // Death ended the lease chain; re-admission restarts it. (A shard never
     // declared dead still has its chain running — don't stack a second.)
-    arm_shard_lease(ctx, shard, config_.fault.lease_base_seconds, 0);
+    arm_lease(ctx, kTagShardCheck, shard, -1, st.lease.length, 0);
   }
   try_dispatch(ctx);
   maybe_finish(ctx);
@@ -1178,17 +948,7 @@ void RenderMaster::restore_from_checkpoint(Context& ctx,
   // Fresh ids start above everything the dead scheduler ever minted, so a
   // late journal record can never be confused with new work.
   if (ck.next_task_id > next_task_id_) next_task_id_ = ck.next_task_id;
-  std::vector<StragglerDetector::Snapshot> snaps;
-  for (const CheckpointRecord::StragglerStat& s : ck.stragglers) {
-    StragglerDetector::Snapshot snap;
-    snap.worker = s.worker;
-    snap.ewma = s.ewma;
-    snap.dev = s.dev;
-    snap.n = s.n;
-    snap.flagged = s.flagged;
-    snaps.push_back(snap);
-  }
-  straggler_.restore(snaps);
+  straggler_.restore(ck.stragglers);
 
   // What will cover each incomplete frame: checkpoint tasks (pending plus
   // in-flight remainders), trimmed around frames that completed after the
@@ -1282,12 +1042,8 @@ void RenderMaster::restore_from_checkpoint(Context& ctx,
   for_each_run(
       0, frames, [&](int f) { return wholesale[f] != 0; },
       [&](int f, int b) { enqueue(whole, /*recovery_restart=*/true, f, b); });
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "resume.checkpoint",
-                            ctx.now(),
-                            {{"tasks", tasks_restored},
-                             {"next_task_id", next_task_id_}});
-  }
+  trace(ctx, "resume.checkpoint",
+        {{"tasks", tasks_restored}, {"next_task_id", next_task_id_}});
 }
 
 void RenderMaster::handle_sample_tick(Context& ctx) {
@@ -1336,22 +1092,17 @@ std::string RenderMaster::render_status_json(Context& ctx) const {
                              : 0.0);
   j += ", \"workers\": [";
   bool first = true;
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    const WorkerState& s = workers_[w];
+  for (int w = 1; w < workers_.end_rank(); ++w) {
+    const WorkerTable::Worker& s = workers_[w];
     if (!first) j += ", ";
     first = false;
-    const char* state = s.dead        ? "dead"
-                        : !s.known    ? "unknown"
-                        : s.cancelled ? "cancelled"
-                        : s.active    ? "active"
-                                      : "idle";
     j += "{\"rank\": " + std::to_string(w);
-    j += ", \"state\": \"" + std::string(state) + "\"";
-    j += ", \"task\": " + std::to_string(s.active ? s.task.task_id : -1);
+    j += ", \"state\": \"" + std::string(to_string(s.phase)) + "\"";
+    j += ", \"task\": " + std::to_string(s.assigned() ? s.task.task_id : -1);
     j += ", \"next_expected\": " + std::to_string(s.next_expected);
     j += ", \"end_frame\": " + std::to_string(s.end_frame);
     j += ", \"last_heard\": ";
-    append_json_double(&j, s.last_heard);
+    append_json_double(&j, s.lease.last_heard);
     j += ", \"straggler\": ";
     j += straggler_.is_straggler(w) ? "true" : "false";
     j += "}";
@@ -1431,15 +1182,12 @@ void RenderMaster::note_commit(Context& ctx, int worker, std::int32_t task_id,
         {{"worker", worker}, {"task", task_id}, {"frame", frame},
          {"step", 4}});
   }
-  if (worker < 1 || worker >= static_cast<int>(workers_.size())) return;
+  if (!workers_.contains(worker)) return;
   if (straggler_.observe(worker, render_seconds)) {
     ++report_.straggler_flags;
     if (stragglers_flagged_ != nullptr) stragglers_flagged_->inc();
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(
-          ctx.rank(), "sched", "worker.straggler", ctx.now(),
+    trace(ctx, "worker.straggler",
           {{"worker", worker}, {"task", task_id}, {"frame", frame}});
-    }
   }
 }
 
@@ -1460,8 +1208,8 @@ void RenderMaster::maybe_finish(Context& ctx) {
   }
   if (!drained) return;
   stopping_ = true;
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    if (!workers_[w].dead) ctx.send(w, kTagStop, {});
+  for (int w = 1; w < workers_.end_rank(); ++w) {
+    if (!workers_.dead(w)) ctx.send(w, kTagStop, {});
   }
   if (config_.shards.sharded()) {
     for (int i = 0; i < config_.shards.shard_count; ++i) {
@@ -1469,7 +1217,7 @@ void RenderMaster::maybe_finish(Context& ctx) {
     }
   }
   for (int c = 0; c < config_.service.client_count; ++c) {
-    ctx.send(static_cast<int>(workers_.size()) + c, kTagStop, {});
+    ctx.send(workers_.end_rank() + c, kTagStop, {});
   }
   ctx.stop();
 }
@@ -1493,7 +1241,7 @@ bool valid_service_name(const std::string& s) {
 }  // namespace
 
 bool RenderMaster::is_client_rank(int rank) const {
-  const int first = static_cast<int>(workers_.size());
+  const int first = workers_.end_rank();
   return rank >= first && rank < first + config_.service.client_count;
 }
 
@@ -1516,7 +1264,7 @@ std::vector<RenderTask> RenderMaster::partition_range(
       partition.sequence_cuts.push_back(cut - first);
     }
   }
-  const int worker_count = static_cast<int>(workers_.size()) - 1;
+  const int worker_count = workers_.end_rank() - 1;
   return make_initial_tasks(partition, scene.width(), scene.height(), count,
                             worker_count);
 }
@@ -1525,10 +1273,7 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
   if (!is_client_rank(msg.source) || stopping_) return;
   const auto reject = [&](std::int32_t ref, const std::string& why) {
     ++report_.shots_rejected;
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(ctx.rank(), "sched", "shot.reject", ctx.now(),
-                              {{"client", msg.source}});
-    }
+    trace(ctx, "shot.reject", {{"client", msg.source}});
     ShotAccept acc;
     acc.client_ref = ref;
     acc.shot_id = -1;
@@ -1611,13 +1356,11 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
              std::int64_t{w} * h * sub.frame_count &&
          "shot tasks must tile area × frames");
   ++report_.shots_submitted;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "shot.admit", ctx.now(),
-                            {{"shot", shot_id},
-                             {"client", msg.source},
-                             {"base_frame", base},
-                             {"frames", sub.frame_count}});
-  }
+  trace(ctx, "shot.admit",
+        {{"shot", shot_id},
+         {"client", msg.source},
+         {"base_frame", base},
+         {"frames", sub.frame_count}});
   ShotAccept acc;
   acc.client_ref = sub.client_ref;
   acc.shot_id = shot_id;
@@ -1665,21 +1408,18 @@ void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
   }
   queue_.cancel(cancel.shot_id);
   ++report_.shots_cancelled;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "shot.cancel", ctx.now(),
-                            {{"shot", shot.shot_id},
-                             {"frames_done", shot.frames_done}});
-  }
+  trace(ctx, "shot.cancel",
+        {{"shot", shot.shot_id}, {"frames_done", shot.frames_done}});
   // Queued tasks just vanish; in-flight ones are shrunk away like a stuck
   // lease, and the store rejects every result still sent into the shot's
   // frames (their area is written off below). The reclaim is refused: the
   // shot is no longer active.
   store_->write_off(shot.base_frame, shot.frame_count);
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    const WorkerState& s = workers_[w];
-    if (s.dead || !s.active || s.cancelled) continue;
-    if (queue_.shot_of_frame(s.task.first_frame) != cancel.shot_id) continue;
-    write_off(ctx, w);
+  for (int w = 1; w < workers_.end_rank(); ++w) {
+    if (workers_.busy(w) &&
+        queue_.shot_of_frame(workers_[w].task.first_frame) == cancel.shot_id) {
+      write_off(ctx, w);
+    }
   }
   // The dropped pixels will never arrive: write their area off so the run
   // can finish without them. Not counted as completed frames.
@@ -1707,19 +1447,13 @@ void RenderMaster::charge_tenant(Context& ctx, int worker,
                                  const ShotQueue::Pick& pick) {
   const int tenant = queue_.charge(pick);
   if (tenant < 0) return;
-  workers_[worker].charged_tenant = tenant;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "tenant.grant", ctx.now(),
-                            {{"tenant", tenant},
-                             {"worker", worker},
-                             {"task", pick.task.task_id}});
-  }
+  workers_.charge(worker, tenant);
+  trace(ctx, "tenant.grant",
+        {{"tenant", tenant}, {"worker", worker}, {"task", pick.task.task_id}});
 }
 
 void RenderMaster::release_assignment(int worker) {
-  WorkerState& s = workers_[worker];
-  queue_.release(s.charged_tenant);
-  s.charged_tenant = -1;
+  queue_.release(workers_.take_charge(worker));
 }
 
 void RenderMaster::preempt_if_backlogged(Context& ctx) {
@@ -1729,24 +1463,18 @@ void RenderMaster::preempt_if_backlogged(Context& ctx) {
   // the clone away — its worker comes back for the real backlog. A solo
   // render has no tenants, so it never preempts.
   if (!queue_.tenant_backlog(committed_, blocked_)) return;
-  for (const int w : idle_) {
-    if (!workers_[w].dead) return;  // an idle worker will take the backlog
-  }
-  for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    WorkerState& s = workers_[w];
-    if (s.dead || !s.active || s.cancelled) continue;
+  // An idle worker will take the backlog.
+  if (workers_.idle_live() > 0) return;
+  for (int w = 1; w < workers_.end_rank(); ++w) {
+    if (!workers_.busy(w)) continue;
     // The clone is the younger half of its pair: minted after its victim.
-    const auto it = spec_partner_.find(s.task.task_id);
-    if (it == spec_partner_.end() || it->second > s.task.task_id) continue;
-    spec_partner_.erase(it->second);
-    spec_partner_.erase(s.task.task_id);
+    const std::int32_t task = workers_[w].task.task_id;
+    const auto it = spec_partner_.find(task);
+    if (it == spec_partner_.end() || it->second > task) continue;
+    unpair(task);
     ++report_.preemptions;
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(ctx.rank(), "sched", "task.preempt", ctx.now(),
-                              {{"worker", w}, {"task", s.task.task_id}});
-    }
-    s.end_frame = std::min(s.end_frame, s.next_expected);
-    if (!s.awaiting_ack) shrink(ctx, w, s.next_expected);
+    trace(ctx, "task.preempt", {{"worker", w}, {"task", task}});
+    stop_at_delivered(ctx, w);
     break;  // one preemption per backlog check
   }
 }

@@ -15,25 +15,27 @@
 // for both: the queue decides which shot feeds the next idle worker.
 //
 // Fault tolerance (MasterConfig::fault.enabled): every worker message is a
-// heartbeat; each assignment takes out a *progress* lease (deadline scaled
-// by the task's frame count, renewed by every accepted frame result)
-// enforced by deferred LeaseCheck self-messages. A worker whose lease
-// expires is pinged once; after the grace period, no pong means the worker
-// is dead, while a pong without progress means the worker is alive but the
-// task is stuck (e.g. the assignment was lost in transit) — either way the
-// unfinished frames are re-enqueued as a fresh task whose renderer pays a
-// full first-frame restart (the paper's coherence-restart cost). Progress
-// from dead ranks and cancelled tasks is ignored (a store still commits
-// their chain-valid pixels, identical by the coherence guarantee);
-// duplicated results are dropped at the commit gate; a gap in a task's
-// result chain (a lost frame result) cancels the task and reclaims the
-// remainder, because the region's sparse chain is broken from the gap
-// onward. If every worker dies the master stops with whatever frames it
-// has — it never blocks shutdown on a dead rank.
+// heartbeat. Each assignment takes out a *progress* lease (deadline scaled
+// by the task's frame count, renewed by every accepted frame result) and
+// each shard a *liveness* lease; both follow one Lease rule
+// (src/par/worker_table.h), enforced by deferred LeaseCheck self-messages.
+// An expired lease draws one ping and one grace period: silence means
+// death, while a worker that answers without progress is stuck (e.g. its
+// assignment was lost in transit). Either way its unfinished frames are
+// re-enqueued as a fresh task whose renderer pays a full first-frame
+// restart (the paper's coherence-restart cost). The WorkerTable holds each
+// worker's phase and delivered chain: a digest for anything but the task
+// an active worker holds moves nothing here (its store still commits
+// chain-valid pixels, identical by the coherence guarantee, and drops
+// duplicates at its idempotent gate), and a gap in a task's chain (a lost
+// frame result) cancels the task and reclaims the remainder, because the
+// region's sparse chain is broken from the gap onward. If every worker
+// dies the master stops with whatever frames it has — it never blocks
+// shutdown on a dead rank.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -55,6 +57,7 @@
 #include "src/par/partition.h"
 #include "src/par/protocol.h"
 #include "src/par/shot_queue.h"
+#include "src/par/worker_table.h"
 #include "src/scene/animated_scene.h"
 #include "src/shard/digest.h"
 #include "src/shard/frame_sink.h"
@@ -188,37 +191,6 @@ class RenderMaster final : public Actor {
   const ShotQueue& shot_queue() const { return queue_; }
 
  private:
-  struct WorkerState {
-    bool known = false;        // sent hello
-    bool active = false;       // has an unfinished task
-    bool awaiting_ack = false; // shrink in flight
-    bool queued = false;       // sitting in the idle queue
-    bool dead = false;         // lease expired; rank is ignored forever
-    bool cancelled = false;    // current task written off (results ignored)
-    RenderTask task;
-    std::int32_t next_expected = 0;  // first unreported frame
-    std::int32_t end_frame = 0;      // master's view (post-shrink)
-    double last_heard = 0.0;    // heartbeat: time of last message
-    double last_progress = 0.0; // time of assignment or last accepted result
-    double ping_time = -1.0;    // when the outstanding ping was sent (-1 none)
-    double lease_seconds = 0.0; // current assignment's lease length
-    // -- sharded mode only -----------------------------------------------
-    /// kTagRequest arrived while digests for this task were still in
-    /// flight from the shards (digest streams from different shards may
-    /// reorder around ownership boundaries): the idle transition is parked
-    /// until the digest chain catches up or the task is written off.
-    bool request_pending = false;
-    /// Digest reorder buffer: frames acknowledged by a *different* shard
-    /// than the one next_expected belongs to, held until the chain reaches
-    /// them. A gap within one shard's digests is genuine loss (per-sender
-    /// FIFO), never reordering.
-    std::set<std::int32_t> deferred_frames;
-    /// Tenant whose quota this worker's assignment is charged against (-1:
-    /// tenant-less shots and speculation clones stay uncharged, so the quota
-    /// gate peak_inflight <= quota holds for admitted work).
-    int charged_tenant = -1;
-  };
-
   /// Liveness state of one FrameShard rank (sharded mode with
   /// fault.enabled; empty otherwise). Shards hold *liveness* leases, not
   /// progress leases: a shard whose owned range is already complete
@@ -226,8 +198,7 @@ class RenderMaster final : public Actor {
   struct ShardState {
     bool dead = false;       // lease expired; commits rolled back
     bool reset_sent = false; // fenced a still-talking dead incarnation
-    double last_heard = 0.0; // any message from the shard rank
-    double ping_time = -1.0; // outstanding liveness ping (-1 none)
+    Lease lease{Lease::Kind::kLiveness};
   };
 
   /// kTagCommitDigest from a remote shard: decode it, fence a dead shard's
@@ -238,9 +209,8 @@ class RenderMaster final : public Actor {
   /// accounting (commit totals, area bookkeeping, frame completion) applies
   /// immediately; worker progress goes through advance_worker.
   void apply_digest(Context& ctx, const CommitDigest& d);
-  /// Order-dependent half of apply_digest: move the worker's chain (through
-  /// the deferred_frames reorder buffer), or cancel and reclaim its task on
-  /// a reject or a gap.
+  /// Order-dependent half of apply_digest: move the worker's chain
+  /// (WorkerTable::advance), or cancel and reclaim its task on a gap.
   void advance_worker(Context& ctx, const CommitDigest& d);
   /// A frame's missing area reached zero: count it and credit its shot and
   /// tenant, reporting a tenant's shot done on its last frame.
@@ -248,30 +218,34 @@ class RenderMaster final : public Actor {
   /// Append a checkpoint once journal_checkpoint_every fresh commits have
   /// accumulated since the last one.
   void checkpoint_if_due();
-  /// Digest chain for `worker` advanced to the end of its task (or the task
-  /// was written off): run the parked idle transition, if any.
-  void release_pending_request(Context& ctx, int worker);
   /// `hello` distinguishes kTagHello (may re-admit a dead rank: elastic
   /// membership) from kTagRequest (a dead rank's requests stay ignored).
   void handle_idle(Context& ctx, int worker, bool hello);
-  /// The idle transition: drop the worker's task state and queue it for
-  /// dispatch (once).
+  /// The idle transition: un-charge the worker's assignment, drop its task
+  /// state and queue it for dispatch (once).
   void make_idle(int worker);
   void handle_shrink_ack(Context& ctx, const Message& msg);
   /// A busy worker refused an assignment: requeue it immediately instead of
   /// letting it sit on the refusing worker until its lease expires.
   void handle_task_nack(Context& ctx, const Message& msg);
+  /// A lease self-timer: kTagLeaseCheck for a worker's progress lease,
+  /// kTagShardCheck for a shard's liveness lease, judged by one Lease rule.
+  /// Silence declares either dead; an answered ping renews a shard but
+  /// writes a worker's task off as stuck.
   void handle_lease_check(Context& ctx, const Message& msg);
-  /// Shard liveness lease (kTagShardCheck self-timer): silent shard gets
-  /// pinged, a pinged shard that stays silent through the grace period is
-  /// declared dead and its uncommitted frames rolled back.
-  void handle_shard_check(Context& ctx, const Message& msg);
+  /// A scheduling-decision instant on the master's timeline (no-op without
+  /// a tracer; the args stay on the stack until then).
+  void trace(Context& ctx, const char* name,
+             std::initializer_list<TraceEvent::Arg> args) const;
+  /// Arm a lease check (`tag` kTagLeaseCheck or kTagShardCheck) for worker
+  /// rank or shard index `subject` after `delay`.
+  void arm_lease(Context& ctx, int tag, int subject, std::int32_t task_id,
+                 double delay, int phase);
   /// Hello from a shard rank: a replacement incarnation rebuilt from its
   /// journal segment and is re-announcing. Re-admit it — and if its death
   /// was never detected (restart raced the lease), perform the rollback now,
   /// because its partial frames died with its memory either way.
   void handle_shard_hello(Context& ctx, int source);
-  void arm_shard_lease(Context& ctx, int shard, double delay, int phase);
   void declare_shard_dead(Context& ctx, int shard);
   /// The shard-death rollback: every incomplete frame the shard owned loses
   /// its committed cells (area returns to full, the mirror is cleared), the
@@ -310,18 +284,19 @@ class RenderMaster final : public Actor {
   /// nothing held for a dead shard), fall back to the end-game moves:
   /// adaptive split, then speculation.
   void try_dispatch(Context& ctx);
-  /// The active, unpaired worker not mid-shrink with the highest score for
-  /// its remaining frames — the count itself, or by_expected_time, the
-  /// count × its expected per-frame time (-1 when none has frames left).
-  int split_victim(bool by_expected_time) const;
   bool try_adaptive_split(Context& ctx);
   /// End-game: clone the slowest active task onto an idle worker. Returns
   /// true when a clone was dispatched.
   bool try_speculate(Context& ctx);
-  /// One copy of a speculated pair finished its range: dissolve the pair
-  /// and shrink the losing copy away.
+  /// One copy of a speculated pair finished its range (the pair is already
+  /// dissolved): stop the losing copy at what it delivered.
   void finish_speculation(Context& ctx, std::int32_t winner_task,
                           std::int32_t loser_task);
+  /// Dissolve `task`'s speculation pair, if any: returns the partner or -1.
+  std::int32_t unpair(std::int32_t task);
+  /// End `worker`'s copy at what it already delivered, shrinking it unless
+  /// a shrink is in flight.
+  void stop_at_delivered(Context& ctx, int worker);
   /// By value: assignment mints the task's trace context before sending.
   void assign(Context& ctx, int worker, RenderTask task);
   void maybe_finish(Context& ctx);
@@ -339,7 +314,7 @@ class RenderMaster final : public Actor {
   /// already delivered. Callers dispatch afterwards.
   void write_off(Context& ctx, int worker);
   /// Ask `worker` to end its current task at `new_end` (kTagShrink); the
-  /// ack clears awaiting_ack.
+  /// ack clears the table's awaiting_ack.
   void shrink(Context& ctx, int worker, std::int32_t new_end);
   /// Queue a recovery task (a coherence restart, counted as reassigned work
   /// and traced as task.reclaim; `worker` < 0 omits the worker argument).
@@ -385,8 +360,8 @@ class RenderMaster final : public Actor {
   const ShotQueue::TaskFilter blocked_ = [this](const RenderTask& task) {
     return task_blocked_by_dead_shard(task);
   };
-  std::vector<WorkerState> workers_;
-  std::deque<int> idle_;
+  /// Every worker rank's phase, chain and lease, and the idle queue.
+  WorkerTable workers_;
   /// One entry per shard in sharded mode with fault.enabled; empty when
   /// shard liveness is off.
   std::vector<ShardState> shard_states_;
@@ -396,13 +371,14 @@ class RenderMaster final : public Actor {
   std::int32_t next_task_id_ = 0;
   bool stopping_ = false;
 
-  std::set<std::int32_t> cancelled_tasks_;   // results discarded
   std::set<std::int32_t> reassigned_tasks_;  // recovery tasks (restart cost)
 
-  /// Idempotent-commit gate: per frame, the packed rects already applied.
-  /// A duplicate (rect, frame) commit — a speculation loser, an overlap
-  /// from reclaim — is skipped entirely (no pixel write, no accounting, no
-  /// journal record).
+  /// The scheduler's mirror of committed cells: per frame, the packed rects
+  /// whose fresh-commit digests arrived. The idempotent-commit gate itself
+  /// (no pixel write, no accounting, no journal record for a duplicate) is
+  /// the FrameStore's, colocated or at a shard. This mirror only answers
+  /// task_fully_committed — the queue's dispatch and drain filter — and
+  /// tells a shard rollback which cells to reclaim.
   std::vector<std::set<std::uint64_t>> committed_rects_;
   /// Speculated task pairs, keyed both ways (task_id → partner task_id).
   std::map<std::int32_t, std::int32_t> spec_partner_;

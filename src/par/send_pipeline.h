@@ -15,9 +15,9 @@
 // the same single queue. Only self-sends (the render-loop continuation) stay
 // on the actor thread.
 //
-// In synchronous mode (the sim backend, or --no-pipeline) the same calls
-// encode and send inline on the actor thread, byte-for-byte and
-// order-for-order identical to the pre-pipeline worker.
+// In synchronous mode (the sim backend) the same calls encode and send
+// inline on the actor thread, byte-for-byte and order-for-order identical
+// to the pipelined sends.
 //
 // Lifetime: the sender thread holds the actor's Context, which lives on the
 // actor thread's stack until after Actor::on_shutdown — the worker must call

@@ -38,7 +38,7 @@ struct WorkerConfig {
   FrameCodec frame_codec = FrameCodec::kRaw;
   /// Encode + send frame t on a dedicated sender thread while frame t+1
   /// renders. Requires a wall-clock runtime (sim Contexts are not
-  /// thread-safe); leave false there and sends stay inline.
+  /// thread-safe); render_farm sets it for every backend but the sim.
   bool pipeline = false;
   /// Per-frame render spans (cat "frame") on this worker's timeline; the
   /// utilization report derives busy time from them. Null disables.

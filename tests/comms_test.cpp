@@ -1,7 +1,8 @@
 // Delta frame transport, end to end: raw and delta codecs must assemble
-// byte-identical animations on every backend — pipelined or inline, under
-// message drops, duplicated deliveries, and mid-sequence worker death (which
-// forces the replacement task to restart from a dense key frame).
+// byte-identical animations on every backend — pipelined on the wall-clock
+// ones, inline on the sim — under message drops, duplicated deliveries, and
+// mid-sequence worker death (which forces the replacement task to restart
+// from a dense key frame).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -71,21 +72,18 @@ TEST(DeltaTransport, SimRawAndDeltaAssembleIdenticalFramesAndDeltaIsSmaller) {
 }
 
 TEST(DeltaTransport, PipelinedMatchesSequentialOnWallClockBackends) {
+  // Wall-clock backends always pipeline: each worker's sender thread
+  // encodes and sends frame t while frame t+1 renders.
   const AnimatedScene scene = orbit_scene(3, 8, 48, 36);
   const auto ref = reference_frames(scene, TraceOptions{});
   for (const FarmBackend backend :
        {FarmBackend::kThreads, FarmBackend::kTcp}) {
     for (const FrameCodec codec : {FrameCodec::kRaw, FrameCodec::kDelta}) {
-      FarmConfig piped = base_config(backend, codec);
-      piped.pipeline = true;
-      FarmConfig inline_send = base_config(backend, codec);
-      inline_send.pipeline = false;
       const std::string label = std::string(to_string(backend)) + "/" +
                                 to_string(codec);
-      expect_frames_equal(render_farm(scene, piped).frames, ref,
-                          label + "/pipelined");
-      expect_frames_equal(render_farm(scene, inline_send).frames, ref,
-                          label + "/inline");
+      expect_frames_equal(render_farm(scene, base_config(backend, codec))
+                              .frames,
+                          ref, label + "/pipelined");
     }
   }
 }
@@ -135,7 +133,6 @@ TEST(DeltaTransport, PipelinedWallClockRunSurvivesWorkerDeathAndRejoin) {
   for (const FarmBackend backend :
        {FarmBackend::kThreads, FarmBackend::kTcp}) {
     FarmConfig config = base_config(backend, FrameCodec::kDelta);
-    config.pipeline = true;
     // The revived process must discard its dead predecessor's queued frames
     // and re-Hello; its next task starts from a key frame.
     config.fault_plan.events.push_back(FaultPlan::crash_after_frames(1, 2));
