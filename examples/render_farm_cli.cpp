@@ -549,6 +549,11 @@ int main(int argc, char** argv) {
                  "INCOMPLETE: %lld of %d frame(s) finished — the farm "
                  "stopped before the render was done\n",
                  frames_done, scene.frame_count());
+  } else if (result.frame_write_failures > 0) {
+    std::fprintf(stderr,
+                 "error: %lld frame file(s) failed to write under %s\n",
+                 static_cast<long long>(result.frame_write_failures),
+                 out_dir.c_str());
   } else if (!incomplete && !service) {
     std::printf("frames written to %s/farm_NNNN.tga\n", out_dir.c_str());
   }
@@ -601,6 +606,7 @@ int main(int argc, char** argv) {
   }
   // A scheduler-kill drill is *supposed* to end partial (the restart is a
   // --resume rerun); every other incomplete render is a failure.
+  if (result.frame_write_failures > 0) return 1;
   if (service) return service_failed ? 1 : 0;
   return (incomplete && !kill_scheduler) ? 1 : 0;
 }

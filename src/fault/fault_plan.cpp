@@ -19,30 +19,9 @@ const char* to_string(FaultKind kind) {
   return "unknown";
 }
 
-bool FaultPlan::has_crashes() const {
-  for (const FaultEvent& e : events) {
-    if (e.kind == FaultKind::kCrash) return true;
-  }
-  return false;
-}
-
-bool FaultPlan::has_rejoins() const {
-  for (const FaultEvent& e : events) {
-    if (e.kind == FaultKind::kRejoin) return true;
-  }
-  return false;
-}
-
 bool FaultPlan::rank_rejoins(int rank) const {
   for (const FaultEvent& e : events) {
     if (e.kind == FaultKind::kRejoin && e.rank == rank) return true;
-  }
-  return false;
-}
-
-bool FaultPlan::rank_crashes(int rank) const {
-  for (const FaultEvent& e : events) {
-    if (e.kind == FaultKind::kCrash && e.rank == rank) return true;
   }
   return false;
 }

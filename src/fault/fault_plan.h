@@ -91,12 +91,8 @@ struct FaultPlan {
   int rejoin_tag = -1;
 
   bool empty() const { return events.empty(); }
-  bool has_crashes() const;
-  bool has_rejoins() const;
   /// True when `rank` has a kRejoin event scheduled.
   bool rank_rejoins(int rank) const;
-  /// True when `rank` has a crash event (fired or not).
-  bool rank_crashes(int rank) const;
   /// The progress tag armed for `rank` given its world role.
   int progress_tag_for(int rank) const;
 

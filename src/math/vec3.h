@@ -127,10 +127,6 @@ constexpr double degrees_to_radians(double deg) { return deg * kPi / 180.0; }
 
 constexpr double clamp01(double v) { return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v); }
 
-constexpr double clampd(double v, double lo, double hi) {
-  return v < lo ? lo : (v > hi ? hi : v);
-}
-
 /// Tolerant floating comparison used by tests and geometric predicates.
 inline bool nearly_equal(double a, double b, double eps = 1e-9) {
   return std::fabs(a - b) <= eps * (1.0 + std::fabs(a) + std::fabs(b));

@@ -5,24 +5,9 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/par/status_json.h"
+
 namespace now {
-
-namespace {
-
-/// Call fn(f, b) for each maximal run [f, b) of frames in [lo, hi) where
-/// keep(frame) holds.
-template <typename Keep, typename Fn>
-void for_each_run(int lo, int hi, const Keep& keep, const Fn& fn) {
-  int f = lo;
-  while (f < hi) {
-    int b = f;
-    while (b < hi && keep(b)) ++b;
-    if (b > f) fn(f, b);
-    f = std::max(b, f + 1);
-  }
-}
-
-}  // namespace
 
 RenderMaster::RenderMaster(const AnimatedScene& scene,
                            const MasterConfig& config)
@@ -64,29 +49,17 @@ void RenderMaster::on_start(Context& ctx) {
   workers_ = WorkerTable(worker_count, config_.shards);
   report_.frames_by_worker.assign(static_cast<std::size_t>(worker_count) + 1,
                                   0);
-  // The scheduler's bookkeeping mirrors the store(s): areas and gates are
-  // fed by commit digests whether the pixels live here or at remote shards.
-  frame_area_missing_.assign(static_cast<std::size_t>(frames),
-                             std::int64_t{w} * h);
-  area_frames_missing_ = std::int64_t{w} * h * frames;
-  committed_rects_.assign(static_cast<std::size_t>(frames), {});
+  // The scheduler's ledger mirrors the store(s): it is fed by commit
+  // digests whether the pixels live here or at remote shards.
+  ledger_ = FrameLedger(std::int64_t{w} * h, 0, frames);
 
   // Resume: frames the previous run completed (journal record + verified
   // targa on disk) are restored wholesale and never re-enter scheduling.
   // Whichever store owns a frame loads its image; the scheduler only marks
   // it complete.
-  std::vector<char> restored(static_cast<std::size_t>(frames), 0);
   if (config_.recovery != nullptr) {
-    const RecoveryState& rec = *config_.recovery;
-    for (int f = 0; f < frames; ++f) {
-      if (f < static_cast<int>(rec.frames.size()) &&
-          rec.frames[f].has_value()) {
-        frame_area_missing_[f] = 0;
-        area_frames_missing_ -= std::int64_t{w} * h;
-        restored[f] = 1;
-        ++report_.frames_restored;
-      }
-    }
+    report_.frames_restored = ledger_.restore(config_.recovery->frames,
+                                              config_.recovery->frame_commits);
     if (report_.frames_restored > 0) {
       trace(ctx, "resume.restore", {{"frames", report_.frames_restored}});
     }
@@ -102,14 +75,14 @@ void RenderMaster::on_start(Context& ctx) {
       // remainder as a superset (reclaim overlap is gated away at commit),
       // so the exact tiling assertion below does not apply to this path.
       queue_.admit(shot, {});
-      restore_from_checkpoint(ctx, restored);
+      restore_from_checkpoint(ctx);
     } else {
       // Partition each maximal run of incomplete frames independently. A
       // task's first frame is a dense render anyway, so restored frames
       // are free task boundaries.
       std::vector<RenderTask> tasks;
       for_each_run(
-          0, frames, [&](int f) { return !restored[f]; },
+          0, frames, [&](int f) { return !ledger_.complete(f); },
           [&](int f, int b) {
             for (RenderTask& task : partition_range(scene_, f, b - f)) {
               task.task_id = next_task_id_++;
@@ -118,7 +91,7 @@ void RenderMaster::on_start(Context& ctx) {
             }
           });
       [[maybe_unused]] const int sid = queue_.admit(shot, std::move(tasks));
-      assert(queue_.shots()[sid].units_total == area_frames_missing_ &&
+      assert(queue_.shots()[sid].units_total == ledger_.missing_total() &&
              "tasks must tile area × frames");
     }
   }
@@ -174,11 +147,9 @@ void RenderMaster::on_start(Context& ctx) {
   // a grace period, then death + rollback). Progress leases make no sense
   // for shards — one whose owned range is complete commits nothing forever.
   if (sharded && config_.fault.enabled) {
-    shard_states_.assign(
-        static_cast<std::size_t>(config_.shards.shard_count), {});
-    for (int i = 0; i < config_.shards.shard_count; ++i) {
-      shard_states_[i].lease.length = config_.fault.lease_base_seconds;
-      shard_states_[i].lease.restart(ctx.now());
+    shard_table_ = ShardTable(config_.shards, config_.fault.lease_base_seconds,
+                              ctx.now());
+    for (int i = 0; i < shard_table_.size(); ++i) {
       arm_lease(ctx, kTagShardCheck, i, -1, config_.fault.lease_base_seconds,
                 0);
     }
@@ -189,9 +160,7 @@ void RenderMaster::on_start(Context& ctx) {
       (config_.sampler != nullptr || config_.status != nullptr)) {
     ctx.send_after(config_.sample_interval_seconds, kTagSampleTick, {});
   }
-  if (queue_depth_ != nullptr) {
-    queue_depth_->set(static_cast<double>(queue_.depth()));
-  }
+  publish_queue_depth();
 }
 
 void RenderMaster::on_message(Context& ctx, const Message& msg) {
@@ -205,15 +174,11 @@ void RenderMaster::on_message(Context& ctx, const Message& msg) {
   // Every message a live worker sends doubles as a heartbeat.
   if (workers_.contains(msg.source)) {
     workers_.heard(msg.source, ctx.now());
-  } else if (!shard_states_.empty() && msg.source >= workers_.end_rank()) {
+  } else {
     // Same for shard ranks: any message (digest, pong, hello) renews the
     // shard's liveness lease. A declared-dead shard earns nothing until it
     // re-admits through handle_shard_hello.
-    const int shard = msg.source - workers_.end_rank();
-    if (shard < static_cast<int>(shard_states_.size()) &&
-        !shard_states_[shard].dead) {
-      shard_states_[shard].lease.last_heard = ctx.now();
-    }
+    shard_table_.heard(msg.source, ctx.now());
   }
   switch (msg.tag) {
     case kTagHello:
@@ -294,6 +259,12 @@ void RenderMaster::handle_idle(Context& ctx, int worker, bool hello) {
   maybe_finish(ctx);
 }
 
+void RenderMaster::publish_queue_depth() {
+  if (queue_depth_ != nullptr) {
+    queue_depth_->set(static_cast<double>(queue_.depth()));
+  }
+}
+
 void RenderMaster::make_idle(int worker) {
   release_assignment(worker);
   workers_.make_idle(worker);
@@ -332,14 +303,6 @@ void RenderMaster::assign(Context& ctx, int worker, RenderTask task) {
   ctx.send(worker, kTagTask, encode_task(task));
 }
 
-bool RenderMaster::task_fully_committed(const RenderTask& task) const {
-  for (std::int32_t f = task.first_frame; f < task.end_frame(); ++f) {
-    if (frame_area_missing_[f] == 0) continue;
-    if (committed_rects_[f].count(rect_key(task.region)) == 0) return false;
-  }
-  return true;
-}
-
 void RenderMaster::try_dispatch(Context& ctx) {
   for (int worker; (worker = workers_.idle_front()) >= 0;) {
     const ShotQueue::Pick pick = queue_.next(committed_, blocked_);
@@ -360,9 +323,7 @@ void RenderMaster::try_dispatch(Context& ctx) {
     break;
   }
   preempt_if_backlogged(ctx);
-  if (queue_depth_ != nullptr) {
-    queue_depth_->set(static_cast<double>(queue_.depth()));
-  }
+  publish_queue_depth();
 }
 
 bool RenderMaster::try_speculate(Context& ctx) {
@@ -495,29 +456,21 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
   }
   CommitDigest d;
   if (!decode_commit_digest(&d, msg.payload) ||
-      (d.kind == CommitKind::kFresh &&
-       (d.frame < 0 ||
-        d.frame >= static_cast<int>(frame_area_missing_.size())))) {
+      (d.kind == CommitKind::kFresh && !ledger_.owns(d.frame))) {
     ++fault_report_.results_ignored;  // corrupt peer message: drop it
     return;
   }
-  if (!shard_states_.empty()) {
-    const int shard = msg.source - workers_.end_rank();
-    if (shard >= 0 && shard < static_cast<int>(shard_states_.size()) &&
-        shard_states_[shard].dead) {
-      // A declared-dead incarnation is still talking. Its commits were
-      // rolled back here, so its digests mean nothing anymore — and its
-      // in-memory chain state is poison for future results. Fence it: force
-      // a rebuild from the journal segment, exactly once per death.
-      ++fault_report_.results_ignored;
-      if (!shard_states_[shard].reset_sent) {
-        shard_states_[shard].reset_sent = true;
-        ctx.send(msg.source, kTagShardReset, {});
-      }
+  switch (shard_table_.fence(msg.source)) {
+    case ShardTable::Fence::kApply:
+      apply_digest(ctx, d);
       return;
-    }
+    case ShardTable::Fence::kReset:
+      ctx.send(msg.source, kTagShardReset, {});
+      [[fallthrough]];
+    case ShardTable::Fence::kDrop:
+      ++fault_report_.results_ignored;
+      return;
   }
-  apply_digest(ctx, d);
 }
 
 void RenderMaster::apply_digest(Context& ctx, const CommitDigest& d) {
@@ -537,14 +490,14 @@ void RenderMaster::apply_digest(Context& ctx, const CommitDigest& d) {
   // Digest streams from different shards interleave arbitrarily, but a
   // fresh commit is authoritative no matter when its digest lands: the
   // store validated the chain, so the pixels are correct by the coherence
-  // guarantee. Commit totals, the committed-rect mirror, and the area
-  // bookkeeping therefore apply immediately; only *worker progress* (which
-  // drives leases, shrink targets, and reassignment) needs ordering.
+  // guarantee. Commit totals and the ledger therefore apply immediately;
+  // only *worker progress* (which drives leases, shrink targets, and
+  // reassignment) needs ordering.
   switch (d.kind) {
     case CommitKind::kFresh: {
-      assert(d.frame >= 0 &&
-             d.frame < static_cast<int>(frame_area_missing_.size()));
-      committed_rects_[d.frame].insert(rect_key(d.rect));
+      const FrameLedger::Commit mirrored = ledger_.commit(d.frame, d.rect);
+      assert(mirrored == FrameLedger::Commit::kFresh ||
+             mirrored == FrameLedger::Commit::kCompleted);
       ++report_.frame_results;
       report_.rays_total += d.rays;
       report_.shadow_rays_total += d.shadow_rays;
@@ -563,10 +516,9 @@ void RenderMaster::apply_digest(Context& ctx, const CommitDigest& d) {
              {"full", d.full_render ? 1 : 0}});
       note_commit(ctx, d.worker, d.task_id, d.trace_ctx, d.frame,
                   d.render_seconds);
-      frame_area_missing_[d.frame] -= d.rect.area();
-      area_frames_missing_ -= d.rect.area();
-      assert(frame_area_missing_[d.frame] >= 0);
-      if (frame_area_missing_[d.frame] == 0) note_frame_complete(ctx, d.frame);
+      if (mirrored == FrameLedger::Commit::kCompleted) {
+        note_frame_complete(ctx, d.frame);
+      }
       ++digests_since_checkpoint_;
       // Checkpoint cut: a remote digest before the worker's progress moves,
       // a colocated commit right after its in-order advance (advance_worker).
@@ -642,37 +594,22 @@ void RenderMaster::note_frame_complete(Context& ctx, std::int32_t frame) {
   ++report_.shots_completed;
   trace(ctx, "shot.done",
         {{"shot", shot.shot_id}, {"frames", shot.frame_count}});
+  send_shot_update(ctx, shot);
+}
+
+void RenderMaster::send_shot_update(Context& ctx, const ShotQueue::Shot& shot) {
   ShotUpdate update;
   update.shot_id = shot.shot_id;
-  update.phase = ShotPhase::kDone;
+  update.phase = shot.phase;
   update.frames_done = shot.frames_done;
   ctx.send(shot.client_rank, kTagShotUpdate, encode_shot_update(update));
 }
 
 void RenderMaster::checkpoint_if_due() {
-  if (sink_->journaling() &&
-      digests_since_checkpoint_ >=
-          std::max(1, config_.journal_checkpoint_every)) {
-    write_checkpoint();
-  }
-}
-
-void RenderMaster::write_checkpoint() {
-  if (sink_ == nullptr || !sink_->journaling()) return;
-  CheckpointRecord cp;
-  cp.completed.assign(frame_area_missing_.size(), false);
-  for (std::size_t f = 0; f < frame_area_missing_.size(); ++f) {
-    cp.completed[f] = frame_area_missing_[f] == 0;
-  }
-  for (const RenderTask& t : queue_.tasks()) {
-    CheckpointRecord::Task task;
-    task.task_id = t.task_id;
-    task.rect = t.region;
-    task.first_frame = t.first_frame;
-    task.frame_count = t.frame_count;
-    cp.pending.push_back(task);
-  }
-  cp.in_flight = workers_.in_flight();
+  const int every = std::max(1, config_.journal_checkpoint_every);
+  if (!sink_->journaling() || digests_since_checkpoint_ < every) return;
+  CheckpointRecord cp =
+      checkpoint_of(ledger_, queue_.tasks(), workers_.in_flight());
   // v2 trailer: enough to make a restarted scheduler byte-identical in its
   // decisions — fresh task ids never collide with pre-crash ones, and the
   // straggler EWMAs (which steer speculation victims) survive the restart.
@@ -770,11 +707,7 @@ void RenderMaster::handle_lease_check(Context& ctx, const Message& msg) {
   const bool shard = msg.tag == kTagShardCheck;
   Lease* lease = nullptr;
   if (shard) {
-    if (check.worker >= 0 &&
-        check.worker < static_cast<int>(shard_states_.size()) &&
-        !shard_states_[check.worker].dead) {
-      lease = &shard_states_[check.worker].lease;
-    }
+    lease = shard_table_.live_lease(check.worker);
   } else if (workers_.contains(check.worker) &&
              workers_.holds(check.worker, check.task_id)) {
     lease = &workers_.lease(check.worker);
@@ -838,12 +771,10 @@ void RenderMaster::arm_lease(Context& ctx, int tag, int subject,
 }
 
 void RenderMaster::declare_shard_dead(Context& ctx, int shard) {
-  ShardState& st = shard_states_[shard];
-  if (st.dead) return;
-  st.dead = true;
-  st.reset_sent = false;
+  if (!shard_table_.declare_dead(shard)) return;
   ++fault_report_.shards_failed;
-  fault_report_.detection_latency_seconds += ctx.now() - st.lease.last_heard;
+  fault_report_.detection_latency_seconds +=
+      ctx.now() - shard_table_.last_heard(shard);
   trace(ctx, "shard.dead", {{"shard", shard}});
   rollback_dead_shard(ctx, shard);
   try_dispatch(ctx);
@@ -852,196 +783,82 @@ void RenderMaster::declare_shard_dead(Context& ctx, int shard) {
 
 void RenderMaster::rollback_dead_shard(Context& ctx, int shard) {
   const auto range = config_.shards.range_of(shard);
-  const std::int64_t full = std::int64_t{scene_.width()} * scene_.height();
   // Completed frames are durable (TGA renamed into place before the
-  // kFrameComplete record, which precedes the digest that completed our
-  // area count): the replacement reloads them from disk. Everything else
-  // the shard held was memory, and memory is gone — the mirror's committed
+  // kFrameComplete record, which precedes the digest that completed the
+  // ledger's frame): the replacement reloads them from disk. Everything else
+  // the shard held was memory, and memory is gone — the ledger's committed
   // cells for those frames revert to missing and come back as reclaim
   // tasks, one per (rect, contiguous frame run).
-  std::map<std::uint64_t, std::pair<PixelRect, std::set<int>>> lost;
-  std::int64_t rolled = 0;
-  for (int f = range.first; f < range.second; ++f) {
-    if (frame_area_missing_[f] == 0) continue;
-    for (const std::uint64_t key : committed_rects_[f]) {
-      auto& entry = lost[key];
-      entry.first = rect_from_key(key);
-      entry.second.insert(f);
-      ++rolled;
-    }
-    area_frames_missing_ += full - frame_area_missing_[f];
-    frame_area_missing_[f] = full;
-    committed_rects_[f].clear();
+  const FrameLedger::LostCells lost =
+      ledger_.roll_back(range.first, range.second);
+  for (const auto& [key, frames] : lost) {
+    fault_report_.shard_commits_rolled_back +=
+        static_cast<std::int64_t>(frames.size());
   }
-  fault_report_.shard_commits_rolled_back += rolled;
-  enqueue_lost_cells(ctx, lost);
+  for (const RenderTask& task : reclaim_tasks(lost)) {
+    requeue_reclaim(ctx, task, /*worker=*/-1);
+  }
   // Workers mid-task on the dead range are rendering into the void: write
   // their tasks off now instead of waiting out progress leases that can
   // only expire.
+  write_off_busy(ctx, [&](const WorkerTable::Worker& s) {
+    return s.next_expected < range.second && s.end_frame > range.first;
+  });
+}
+
+void RenderMaster::write_off_busy(
+    Context& ctx, const std::function<bool(const WorkerTable::Worker&)>& hit) {
   for (int w = 1; w < workers_.end_rank(); ++w) {
-    if (workers_.busy(w) && workers_[w].next_expected < range.second &&
-        workers_[w].end_frame > range.first) {
-      write_off(ctx, w);
-    }
+    if (workers_.busy(w) && hit(workers_[w])) write_off(ctx, w);
   }
-}
-
-void RenderMaster::enqueue_lost_cells(
-    Context& ctx,
-    const std::map<std::uint64_t, std::pair<PixelRect, std::set<int>>>&
-        lost) {
-  for (const auto& [key, cells] : lost) {
-    const auto& [rect, frames] = cells;
-    for_each_run(
-        *frames.begin(), *frames.rbegin() + 1,
-        [&](int f) { return frames.count(f) > 0; },
-        [&](int f, int b) {
-          requeue_reclaim(ctx, {-1, rect, f, b - f}, /*worker=*/-1);
-        });
-  }
-}
-
-bool RenderMaster::task_blocked_by_dead_shard(const RenderTask& task) const {
-  if (shard_states_.empty()) return false;
-  for (std::size_t i = 0; i < shard_states_.size(); ++i) {
-    if (!shard_states_[i].dead) continue;
-    const auto range = config_.shards.range_of(static_cast<int>(i));
-    if (task.first_frame < range.second && task.end_frame() > range.first) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void RenderMaster::handle_shard_hello(Context& ctx, int source) {
-  if (shard_states_.empty()) return;  // liveness off: nothing to re-admit
-  const int shard = source - workers_.end_rank();
-  if (shard < 0 || shard >= static_cast<int>(shard_states_.size())) return;
-  ShardState& st = shard_states_[shard];
-  const bool was_dead = st.dead;
+  const int shard = shard_table_.index_of(source);
+  if (shard < 0) return;  // liveness off: nothing to re-admit
+  const bool was_dead = shard_table_.dead(shard);
   if (!was_dead) {
     // The shard restarted before its lease even expired (revival raced
     // detection). Its partial frames died with its memory all the same, so
-    // the death rollback runs now — the mirror and the rebuilt shard agree
+    // the death rollback runs now — the ledger and the rebuilt shard agree
     // again before any new work dispatches.
     rollback_dead_shard(ctx, shard);
   }
-  st.dead = false;
-  st.reset_sent = false;
-  st.lease.restart(ctx.now());
+  shard_table_.rejoin(shard, ctx.now());
   ++fault_report_.shards_rejoined;
   trace(ctx, "shard.rejoin", {{"shard", shard}});
   if (was_dead) {
     // Death ended the lease chain; re-admission restarts it. (A shard never
     // declared dead still has its chain running — don't stack a second.)
-    arm_lease(ctx, kTagShardCheck, shard, -1, st.lease.length, 0);
+    arm_lease(ctx, kTagShardCheck, shard, -1, config_.fault.lease_base_seconds,
+              0);
   }
   try_dispatch(ctx);
   maybe_finish(ctx);
 }
 
-void RenderMaster::restore_from_checkpoint(Context& ctx,
-                                           const std::vector<char>& restored) {
+void RenderMaster::restore_from_checkpoint(Context& ctx) {
   const RecoveryState& rec = *config_.recovery;
   const CheckpointRecord& ck = *rec.last_checkpoint;
-  const int frames = scene_.frame_count();
   // Fresh ids start above everything the dead scheduler ever minted, so a
   // late journal record can never be confused with new work.
   if (ck.next_task_id > next_task_id_) next_task_id_ = ck.next_task_id;
   straggler_.restore(ck.stragglers);
-
-  // What will cover each incomplete frame: checkpoint tasks (pending plus
-  // in-flight remainders), trimmed around frames that completed after the
-  // checkpoint, plus reclaims rebuilt from the journal's own commit records
-  // — cells that were committed when the checkpoint was written lost their
-  // pixels with the process and no table task covers them. Every rect
-  // descends from the one partition tiling, so distinct rects never
-  // partially overlap and a frame's covered area is the sum of its distinct
-  // rect areas. A frame whose reconstruction falls short of the full image
-  // (a shard's journal segment vanished, or was torn past what the
-  // checkpoint had already seen) cannot be patched cell by cell: it
-  // re-renders wholesale. Over-coverage is gated at commit; under-coverage
-  // would hang the run one cell short of completion.
-  const std::int64_t full_area =
-      std::int64_t{scene_.width()} * scene_.height();
-  std::vector<std::set<std::uint64_t>> cover(
-      static_cast<std::size_t>(frames));
-  const auto cover_range = [&](const PixelRect& rect, int first, int end) {
-    const std::uint64_t key = rect_key(rect);
-    for (int f = std::max(first, 0); f < std::min(end, frames); ++f) {
-      if (!restored[f]) cover[f].insert(key);
-    }
-  };
-  for (const CheckpointRecord::Task& t : ck.pending) {
-    cover_range(t.rect, t.first_frame, t.first_frame + t.frame_count);
-  }
-  for (const CheckpointRecord::WorkerView& v : ck.in_flight) {
-    cover_range(v.rect, v.next_expected, v.end_frame);
-  }
-  for (int f = 0; f < frames; ++f) {
-    if (restored[f] || f >= static_cast<int>(rec.frame_commits.size())) {
-      continue;
-    }
-    for (const RegionCommitRecord& c : rec.frame_commits[f]) {
-      cover[f].insert(rect_key(c.rect));
-    }
-  }
-  std::vector<char> wholesale(static_cast<std::size_t>(frames), 0);
-  for (int f = 0; f < frames; ++f) {
-    if (restored[f]) continue;
-    std::int64_t area = 0;
-    for (const std::uint64_t key : cover[f]) {
-      area += rect_from_key(key).area();
-    }
-    if (area < full_area) wholesale[f] = 1;
-  }
-
   int tasks_restored = 0;
-  const auto enqueue = [&](const PixelRect& rect, bool recovery_restart,
-                           int f, int b) {
-    RenderTask task;
-    task.task_id = next_task_id_++;
-    task.region = rect;
-    task.first_frame = f;
-    task.frame_count = b - f;
-    if (recovery_restart) reassigned_tasks_.insert(task.task_id);
-    queue_.requeue(task);
-    ++tasks_restored;
-  };
-  const auto enqueue_trimmed = [&](const PixelRect& rect, int first, int end,
-                                   bool recovery_restart) {
-    for_each_run(
-        std::max(first, 0), std::min(end, frames),
-        [&](int f) { return !restored[f] && !wholesale[f]; },
-        [&](int f, int b) { enqueue(rect, recovery_restart, f, b); });
-  };
-  for (const CheckpointRecord::Task& t : ck.pending) {
-    enqueue_trimmed(t.rect, t.first_frame, t.first_frame + t.frame_count,
-                    /*recovery_restart=*/false);
-  }
-  for (const CheckpointRecord::WorkerView& v : ck.in_flight) {
-    enqueue_trimmed(v.rect, v.next_expected, v.end_frame,
-                    /*recovery_restart=*/true);
-  }
-  std::map<std::uint64_t, std::pair<PixelRect, std::set<int>>> lost;
-  for (int f = 0; f < frames; ++f) {
-    if (restored[f] || wholesale[f] ||
-        f >= static_cast<int>(rec.frame_commits.size())) {
+  for (ResumeTask& planned :
+       plan_resume(ck, rec.frame_commits, ledger_,
+                   {0, 0, scene_.width(), scene_.height()})) {
+    if (planned.kind == ResumeTask::Kind::kReclaim) {
+      requeue_reclaim(ctx, planned.task, /*worker=*/-1);
       continue;
     }
-    for (const RegionCommitRecord& c : rec.frame_commits[f]) {
-      auto& entry = lost[rect_key(c.rect)];
-      entry.first = c.rect;
-      entry.second.insert(f);
+    planned.task.task_id = next_task_id_++;
+    if (planned.kind != ResumeTask::Kind::kPending) {
+      reassigned_tasks_.insert(planned.task.task_id);
     }
+    queue_.requeue(planned.task);
+    ++tasks_restored;
   }
-  enqueue_lost_cells(ctx, lost);
-  // Wholesale frames re-render as full-image tasks over contiguous runs;
-  // their first frame is a dense coherence restart like any fresh task.
-  const PixelRect whole{0, 0, scene_.width(), scene_.height()};
-  for_each_run(
-      0, frames, [&](int f) { return wholesale[f] != 0; },
-      [&](int f, int b) { enqueue(whole, /*recovery_restart=*/true, f, b); });
   trace(ctx, "resume.checkpoint",
         {{"tasks", tasks_restored}, {"next_task_id", next_task_id_}});
 }
@@ -1055,119 +872,15 @@ void RenderMaster::handle_sample_tick(Context& ctx) {
     config_.sampler->sample(ctx.now(), config_.metrics->snapshot());
   }
   if (config_.status != nullptr) {
-    config_.status->publish(render_status_json(ctx));
+    config_.status->publish(status_json(
+        ctx.now(), stopping_,
+        config_.sampler != nullptr
+            ? config_.sampler->rate_per_second("sched.frames_committed")
+            : 0.0,
+        report_, queue_, workers_, straggler_, config_.shards, shard_table_,
+        ledger_));
   }
   ctx.send_after(config_.sample_interval_seconds, kTagSampleTick, {});
-}
-
-namespace {
-
-void append_json_double(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("0");  // JSON cannot carry inf/nan
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out->append(buf);
-}
-
-}  // namespace
-
-std::string RenderMaster::render_status_json(Context& ctx) const {
-  std::string j = "{";
-  j += "\"now\": ";
-  append_json_double(&j, ctx.now());
-  j += ", \"stopping\": ";
-  j += stopping_ ? "true" : "false";
-  j += ", \"pending_tasks\": " + std::to_string(queue_.depth());
-  j += ", \"frames_completed\": " + std::to_string(report_.frames_completed);
-  j += ", \"frame_results\": " + std::to_string(report_.frame_results);
-  j += ", \"straggler_flags\": " + std::to_string(report_.straggler_flags);
-  j += ", \"telemetry_samples\": " + std::to_string(report_.telemetry_samples);
-  j += ", \"throughput_fps\": ";
-  append_json_double(&j, config_.sampler != nullptr
-                             ? config_.sampler->rate_per_second(
-                                   "sched.frames_committed")
-                             : 0.0);
-  j += ", \"workers\": [";
-  bool first = true;
-  for (int w = 1; w < workers_.end_rank(); ++w) {
-    const WorkerTable::Worker& s = workers_[w];
-    if (!first) j += ", ";
-    first = false;
-    j += "{\"rank\": " + std::to_string(w);
-    j += ", \"state\": \"" + std::string(to_string(s.phase)) + "\"";
-    j += ", \"task\": " + std::to_string(s.assigned() ? s.task.task_id : -1);
-    j += ", \"next_expected\": " + std::to_string(s.next_expected);
-    j += ", \"end_frame\": " + std::to_string(s.end_frame);
-    j += ", \"last_heard\": ";
-    append_json_double(&j, s.lease.last_heard);
-    j += ", \"straggler\": ";
-    j += straggler_.is_straggler(w) ? "true" : "false";
-    j += "}";
-  }
-  j += "], \"stragglers\": [";
-  first = true;
-  for (const int w : straggler_.stragglers()) {
-    if (!first) j += ", ";
-    first = false;
-    j += std::to_string(w);
-  }
-  j += "]";
-  if (config_.shards.sharded()) {
-    j += ", \"shards\": [";
-    for (int i = 0; i < config_.shards.shard_count; ++i) {
-      if (i > 0) j += ", ";
-      const auto range = config_.shards.range_of(i);
-      std::int64_t done = 0;
-      for (int f = range.first; f < range.second; ++f) {
-        if (frame_area_missing_[f] == 0) ++done;
-      }
-      j += "{\"shard\": " + std::to_string(i);
-      j += ", \"rank\": " + std::to_string(config_.shards.rank_of_shard(i));
-      j += ", \"first_frame\": " + std::to_string(range.first);
-      j += ", \"end_frame\": " + std::to_string(range.second);
-      j += ", \"frames_done\": " + std::to_string(done);
-      j += ", \"dead\": ";
-      j += (!shard_states_.empty() && shard_states_[i].dead) ? "true"
-                                                             : "false";
-      j += "}";
-    }
-    j += "]";
-  }
-  j += ", \"tenants\": [";
-  first = true;
-  for (const ShotQueue::Tenant& t : queue_.tenants()) {
-    if (!first) j += ", ";
-    first = false;
-    j += "{\"name\": \"" + t.name + "\"";
-    j += ", \"weight\": ";
-    append_json_double(&j, t.weight);
-    j += ", \"quota\": " + std::to_string(t.quota);
-    j += ", \"inflight\": " + std::to_string(t.inflight);
-    j += ", \"tasks_assigned\": " + std::to_string(t.tasks_assigned);
-    j += ", \"units_assigned\": " + std::to_string(t.units_assigned);
-    j += ", \"frames_committed\": " + std::to_string(t.frames_committed);
-    j += "}";
-  }
-  j += "], \"shots\": [";
-  first = true;
-  for (const ShotQueue::Shot& s : queue_.shots()) {
-    if (s.tenant_id < 0) continue;  // the solo render's shot
-    if (!first) j += ", ";
-    first = false;
-    j += "{\"shot\": " + std::to_string(s.shot_id);
-    j += ", \"tenant\": \"" + s.tenant + "\"";
-    j += ", \"phase\": \"" + std::string(to_string(s.phase)) + "\"";
-    j += ", \"frames_done\": " + std::to_string(s.frames_done);
-    j += ", \"frame_count\": " + std::to_string(s.frame_count);
-    j += ", \"queued_tasks\": " + std::to_string(s.queue.size());
-    j += "}";
-  }
-  j += "]";
-  j += "}\n";
-  return j;
 }
 
 void RenderMaster::note_commit(Context& ctx, int worker, std::int32_t task_id,
@@ -1201,11 +914,9 @@ void RenderMaster::maybe_finish(Context& ctx) {
   if (static_cast<int>(done_clients_.size()) < config_.service.client_count) {
     return;
   }
-  if (area_frames_missing_ != 0) return;
+  if (ledger_.missing_total() != 0) return;
   const bool drained = queue_.drained(committed_);
-  if (queue_depth_ != nullptr) {
-    queue_depth_->set(static_cast<double>(queue_.depth()));
-  }
+  publish_queue_depth();
   if (!drained) return;
   stopping_ = true;
   for (int w = 1; w < workers_.end_rank(); ++w) {
@@ -1319,10 +1030,7 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
     return;
   }
 
-  const int w = scene_.width();
-  const int h = scene_.height();
-  const std::int32_t base =
-      static_cast<std::int32_t>(frame_area_missing_.size());
+  const std::int32_t base = ledger_.end_frame();
   ShotQueue::Shot shot;
   shot.tenant_id = queue_.tenant_for(sub.tenant, sub.weight, sub.quota);
   shot.client_rank = msg.source;
@@ -1336,12 +1044,7 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
   // [base, base + frame_count) and map back to the scene through
   // frame_delta (scene_frame = global_frame + frame_delta).
   store_->grow(sub.frame_count);
-  frame_area_missing_.resize(
-      frame_area_missing_.size() + static_cast<std::size_t>(sub.frame_count),
-      std::int64_t{w} * h);
-  committed_rects_.resize(committed_rects_.size() +
-                          static_cast<std::size_t>(sub.frame_count));
-  area_frames_missing_ += std::int64_t{w} * h * sub.frame_count;
+  ledger_.grow(sub.frame_count);
 
   std::vector<RenderTask> tasks =
       partition_range(scene, sub.first_frame, sub.frame_count);
@@ -1353,7 +1056,8 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
   }
   const int shot_id = queue_.admit(std::move(shot), std::move(tasks));
   assert(queue_.shots()[shot_id].units_total ==
-             std::int64_t{w} * h * sub.frame_count &&
+             std::int64_t{scene_.width()} * scene_.height() *
+                 sub.frame_count &&
          "shot tasks must tile area × frames");
   ++report_.shots_submitted;
   trace(ctx, "shot.admit",
@@ -1399,11 +1103,7 @@ void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
   if (shot.phase != ShotPhase::kActive) {
     // Idempotent: a repeated cancel (or one racing completion) reports the
     // terminal phase the shot already reached.
-    ShotUpdate update;
-    update.shot_id = shot.shot_id;
-    update.phase = shot.phase;
-    update.frames_done = shot.frames_done;
-    ctx.send(msg.source, kTagShotUpdate, encode_shot_update(update));
+    send_shot_update(ctx, shot);
     return;
   }
   queue_.cancel(cancel.shot_id);
@@ -1415,24 +1115,13 @@ void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
   // frames (their area is written off below). The reclaim is refused: the
   // shot is no longer active.
   store_->write_off(shot.base_frame, shot.frame_count);
-  for (int w = 1; w < workers_.end_rank(); ++w) {
-    if (workers_.busy(w) &&
-        queue_.shot_of_frame(workers_[w].task.first_frame) == cancel.shot_id) {
-      write_off(ctx, w);
-    }
-  }
+  write_off_busy(ctx, [&](const WorkerTable::Worker& s) {
+    return queue_.shot_of_frame(s.task.first_frame) == cancel.shot_id;
+  });
   // The dropped pixels will never arrive: write their area off so the run
   // can finish without them. Not counted as completed frames.
-  for (std::int32_t f = shot.base_frame;
-       f < shot.base_frame + shot.frame_count; ++f) {
-    area_frames_missing_ -= frame_area_missing_[f];
-    frame_area_missing_[f] = 0;
-  }
-  ShotUpdate update;
-  update.shot_id = shot.shot_id;
-  update.phase = ShotPhase::kCancelled;
-  update.frames_done = shot.frames_done;
-  ctx.send(msg.source, kTagShotUpdate, encode_shot_update(update));
+  ledger_.write_off(shot.base_frame, shot.base_frame + shot.frame_count);
+  send_shot_update(ctx, shot);
   try_dispatch(ctx);
   maybe_finish(ctx);
 }

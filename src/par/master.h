@@ -5,7 +5,12 @@
 // commits each frame result and writes the frames: with --shards 1 the
 // master owns one colocated store over the whole frame space and feeds its
 // digests straight into the same bookkeeping that remote shards' digests
-// reach over the wire.
+// reach over the wire. That bookkeeping is a FrameLedger
+// (src/shard/frame_ledger.h), the same pure type each store gates commits
+// with: the master's copy is a mirror fed by fresh-commit digests. Shard
+// failover is a ledger roll_back plus reclaim tasks, and checkpoint restore
+// runs the pure plan_resume; the master mints ids, requeues, traces and
+// counts.
 //
 // Every queued task lives in one ShotQueue (src/par/shot_queue.h). A solo
 // render is a single tenant-less shot over the animation, admitted in
@@ -17,7 +22,7 @@
 // Fault tolerance (MasterConfig::fault.enabled): every worker message is a
 // heartbeat. Each assignment takes out a *progress* lease (deadline scaled
 // by the task's frame count, renewed by every accepted frame result) and
-// each shard a *liveness* lease; both follow one Lease rule
+// each shard a *liveness* lease (ShardTable); both follow one Lease rule
 // (src/par/worker_table.h), enforced by deferred LeaseCheck self-messages.
 // An expired lease draws one ping and one grace period: silence means
 // death, while a worker that answers without progress is stuck (e.g. its
@@ -35,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -60,6 +66,7 @@
 #include "src/par/worker_table.h"
 #include "src/scene/animated_scene.h"
 #include "src/shard/digest.h"
+#include "src/shard/frame_ledger.h"
 #include "src/shard/frame_sink.h"
 #include "src/shard/frame_store.h"
 #include "src/shard/ownership.h"
@@ -191,16 +198,6 @@ class RenderMaster final : public Actor {
   const ShotQueue& shot_queue() const { return queue_; }
 
  private:
-  /// Liveness state of one FrameShard rank (sharded mode with
-  /// fault.enabled; empty otherwise). Shards hold *liveness* leases, not
-  /// progress leases: a shard whose owned range is already complete
-  /// legitimately commits nothing, but it must keep answering.
-  struct ShardState {
-    bool dead = false;       // lease expired; commits rolled back
-    bool reset_sent = false; // fenced a still-talking dead incarnation
-    Lease lease{Lease::Kind::kLiveness};
-  };
-
   /// kTagCommitDigest from a remote shard: decode it, fence a dead shard's
   /// stale incarnation, and apply the rest.
   void handle_commit_digest(Context& ctx, const Message& msg);
@@ -215,8 +212,11 @@ class RenderMaster final : public Actor {
   /// A frame's missing area reached zero: count it and credit its shot and
   /// tenant, reporting a tenant's shot done on its last frame.
   void note_frame_complete(Context& ctx, std::int32_t frame);
-  /// Append a checkpoint once journal_checkpoint_every fresh commits have
-  /// accumulated since the last one.
+  /// Tell the shot's client its phase and frames done.
+  void send_shot_update(Context& ctx, const ShotQueue::Shot& shot);
+  /// Append a compacted scheduler checkpoint (checkpoint_of) to the journal
+  /// once journal_checkpoint_every fresh commits have accumulated since the
+  /// last one.
   void checkpoint_if_due();
   /// `hello` distinguishes kTagHello (may re-admit a dead rank: elastic
   /// membership) from kTagRequest (a dead rank's requests stay ignored).
@@ -224,6 +224,8 @@ class RenderMaster final : public Actor {
   /// The idle transition: un-charge the worker's assignment, drop its task
   /// state and queue it for dispatch (once).
   void make_idle(int worker);
+  /// Set the sched.queue_depth gauge (no-op without metrics).
+  void publish_queue_depth();
   void handle_shrink_ack(Context& ctx, const Message& msg);
   /// A busy worker refused an assignment: requeue it immediately instead of
   /// letting it sit on the refusing worker until its lease expires.
@@ -248,33 +250,22 @@ class RenderMaster final : public Actor {
   void handle_shard_hello(Context& ctx, int source);
   void declare_shard_dead(Context& ctx, int shard);
   /// The shard-death rollback: every incomplete frame the shard owned loses
-  /// its committed cells (area returns to full, the mirror is cleared), the
-  /// lost cells come back as reclaim tasks, and workers mid-task on the dead
-  /// range are cancelled rather than left rendering into the void.
+  /// its committed cells (ledger roll_back), the lost cells come back as
+  /// reclaim tasks, and workers mid-task on the dead range are cancelled
+  /// rather than left rendering into the void.
   void rollback_dead_shard(Context& ctx, int shard);
-  /// Turn (rect → frame set) of lost committed cells into one reclaim task
-  /// per contiguous frame run. Shared by shard rollback and checkpoint
-  /// restore; over-coverage is safe (idempotent gates), under-coverage
-  /// hangs the run.
-  void enqueue_lost_cells(
-      Context& ctx,
-      const std::map<std::uint64_t, std::pair<PixelRect, std::set<int>>>&
-          lost);
-  /// Dispatch gate: the task touches a frame owned by a declared-dead shard
-  /// (results for it would be lost); hold it until the shard re-admits.
-  bool task_blocked_by_dead_shard(const RenderTask& task) const;
-  /// Resume with a scheduler checkpoint: restore the task table (pending +
-  /// in-flight remainders), task-id counter, and straggler statistics, plus
-  /// reclaim tasks for cells the journal committed into frames that never
-  /// completed — their pixels died with the process.
-  void restore_from_checkpoint(Context& ctx,
-                               const std::vector<char>& restored);
+  /// write_off every busy worker whose assignment `hit` selects (shard
+  /// rollback, shot cancel). Callers dispatch afterwards.
+  void write_off_busy(
+      Context& ctx, const std::function<bool(const WorkerTable::Worker&)>& hit);
+  /// Resume with a scheduler checkpoint: restore the task-id counter and
+  /// straggler statistics, then queue plan_resume's task table (minting ids
+  /// in plan order; reclaims go through requeue_reclaim).
+  void restore_from_checkpoint(Context& ctx);
   /// Telemetry self-timer: snapshot metrics into the sampler, publish the
-  /// /status JSON, re-arm. Never charges compute, never sends cross-rank.
+  /// /status JSON (status_json), re-arm. Never charges compute, never sends
+  /// cross-rank.
   void handle_sample_tick(Context& ctx);
-  /// The /status document: per-worker lease/task state, queue depth, shard
-  /// completion counts, stragglers, recent throughput.
-  std::string render_status_json(Context& ctx) const;
   /// Fresh-commit telemetry: close the frame's flow chain, feed the
   /// straggler detector, bump the live counters.
   void note_commit(Context& ctx, int worker, std::int32_t task_id,
@@ -300,11 +291,6 @@ class RenderMaster final : public Actor {
   /// By value: assignment mints the task's trace context before sending.
   void assign(Context& ctx, int worker, RenderTask task);
   void maybe_finish(Context& ctx);
-  /// Every region-frame of `task` already committed (or its frames fully
-  /// assembled): assigning it would be pure duplicate work.
-  bool task_fully_committed(const RenderTask& task) const;
-  /// Append a compacted scheduler checkpoint to the journal.
-  void write_checkpoint();
   void sync_journal_stats();
   /// Write off the worker's current task: results for it are ignored from
   /// now on, and the frames not yet delivered are re-enqueued as a fresh
@@ -352,34 +338,31 @@ class RenderMaster final : public Actor {
   MasterConfig config_;
 
   /// Every task not yet handed out, by shot, and the commit-state views
-  /// its dispatch choice takes.
+  /// its dispatch choice takes: a task the ledger covers is pure duplicate
+  /// work, and one touching a dead shard's frames is held.
   ShotQueue queue_;
   const ShotQueue::TaskFilter committed_ = [this](const RenderTask& task) {
-    return task_fully_committed(task);
+    return ledger_.covers(task);
   };
   const ShotQueue::TaskFilter blocked_ = [this](const RenderTask& task) {
-    return task_blocked_by_dead_shard(task);
+    return shard_table_.blocks(task);
   };
   /// Every worker rank's phase, chain and lease, and the idle queue.
   WorkerTable workers_;
-  /// One entry per shard in sharded mode with fault.enabled; empty when
-  /// shard liveness is off.
-  std::vector<ShardState> shard_states_;
-
-  std::vector<std::int64_t> frame_area_missing_;
-  std::int64_t area_frames_missing_ = 0;
+  /// Shard liveness in sharded mode with fault.enabled; empty otherwise.
+  ShardTable shard_table_;
+  /// The scheduler's mirror of committed cells, fed by fresh-commit
+  /// digests. The authoritative idempotent-commit gate (no pixel write, no
+  /// accounting, no journal record for a duplicate) is the FrameStore's,
+  /// colocated or at a shard; this copy answers the queue's dispatch and
+  /// drain filter (covers), the finish condition, checkpoints, and which
+  /// cells a shard rollback reclaims.
+  FrameLedger ledger_;
   std::int32_t next_task_id_ = 0;
   bool stopping_ = false;
 
   std::set<std::int32_t> reassigned_tasks_;  // recovery tasks (restart cost)
 
-  /// The scheduler's mirror of committed cells: per frame, the packed rects
-  /// whose fresh-commit digests arrived. The idempotent-commit gate itself
-  /// (no pixel write, no accounting, no journal record for a duplicate) is
-  /// the FrameStore's, colocated or at a shard. This mirror only answers
-  /// task_fully_committed — the queue's dispatch and drain filter — and
-  /// tells a shard rollback which cells to reclaim.
-  std::vector<std::set<std::uint64_t>> committed_rects_;
   /// Speculated task pairs, keyed both ways (task_id → partner task_id).
   std::map<std::int32_t, std::int32_t> spec_partner_;
   /// Every task id that was ever half of a pair: duplicate commits from

@@ -592,6 +592,7 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
     result.shards.push_back(s->report());
   }
   for (const FrameStore* store : stores) {
+    result.frame_write_failures += store->report().frame_write_failures;
     if (static_cast<int>(result.frames.size()) < store->end_frame()) {
       result.frames.resize(static_cast<std::size_t>(store->end_frame()),
                            Framebuffer(scene.width(), scene.height()));

@@ -161,6 +161,10 @@ struct FarmResult {
   /// Per-shard reports (empty when shards == 1).
   std::vector<ShardReport> shards;
   FaultReport faults;  // detection / recovery accounting (master's view)
+  /// Completed frames whose file failed to write, over every store (the
+  /// colocated one or each shard). Such a frame has no completion record,
+  /// so a resume re-renders it.
+  std::int64_t frame_write_failures = 0;
   ResumeReport resume;  // what a --resume run restored
   /// Unified metrics snapshot — the one reporting path shared by all three
   /// backends. Backend-specific series (e.g. sim.* and rank.* gauges from

@@ -241,4 +241,59 @@ WorkerTable::Advance WorkerTable::advance(const CommitDigest& d, double now) {
                                         : Advance::kProgressed;
 }
 
+ShardTable::ShardTable(const ShardMap& map, double lease_length, double now)
+    : shards_(static_cast<std::size_t>(map.shard_count)), map_(map) {
+  for (Shard& s : shards_) {
+    s.lease.length = lease_length;
+    s.lease.restart(now);
+  }
+}
+
+int ShardTable::index_of(int rank) const {
+  const int shard = rank - map_.rank_of_shard(0);
+  return shard >= 0 && shard < size() ? shard : -1;
+}
+
+Lease* ShardTable::live_lease(int shard) {
+  if (shard < 0 || shard >= size() || dead(shard)) return nullptr;
+  return &shards_[shard].lease;
+}
+
+void ShardTable::heard(int rank, double now) {
+  if (Lease* lease = live_lease(index_of(rank))) lease->last_heard = now;
+}
+
+ShardTable::Fence ShardTable::fence(int rank) {
+  const int shard = index_of(rank);
+  if (!dead(shard)) return Fence::kApply;
+  return std::exchange(shards_[shard].reset_sent, true) ? Fence::kDrop
+                                                        : Fence::kReset;
+}
+
+bool ShardTable::declare_dead(int shard) {
+  Shard& s = shards_[shard];
+  if (s.dead) return false;
+  s.dead = true;
+  s.reset_sent = false;
+  return true;
+}
+
+void ShardTable::rejoin(int shard, double now) {
+  Shard& s = shards_[shard];
+  s.dead = false;
+  s.reset_sent = false;
+  s.lease.restart(now);
+}
+
+bool ShardTable::blocks(const RenderTask& task) const {
+  for (int i = 0; i < size(); ++i) {
+    if (!dead(i)) continue;
+    const auto range = map_.range_of(i);
+    if (task.first_frame < range.second && task.end_frame() > range.first) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace now

@@ -1,9 +1,9 @@
 // WorkerTable: the scheduler's view of its worker ranks — one phase per
 // worker, the delivered-frame chain of its assignment, its lease, and the
-// idle queue — plus the Lease rule worker and shard leases share. A pure
-// object (no Context, no tracer), tested row by row in
-// tests/worker_table_test.cpp; the master keeps the sends, trace instants
-// and counters each transition implies.
+// idle queue — plus the Lease rule worker and shard leases share, and the
+// ShardTable of framebuffer-shard liveness. Pure objects (no Context, no
+// tracer), tested row by row in tests/worker_table_test.cpp; the master
+// keeps the sends, trace instants and counters each transition implies.
 //
 // Phases and their guarded transitions (after Korečko & Sobota's
 // Coloured-Petri-Net master/worker model):
@@ -200,6 +200,60 @@ class WorkerTable {
   std::vector<Worker> workers_;
   std::deque<int> idle_;
   ShardMap shards_;
+};
+
+/// Liveness of the remote framebuffer shards (sharded mode with fault
+/// tolerance; empty otherwise, when every shard reads alive). Shards hold
+/// liveness leases, not progress leases: a shard whose owned range is
+/// already complete legitimately commits nothing, but it must keep
+/// answering. A dead shard's frames are rolled back by the scheduler and
+/// held from dispatch until a rebuilt incarnation says hello.
+class ShardTable {
+ public:
+  /// What to do with a commit digest from a shard rank.
+  enum class Fence : std::uint8_t {
+    kApply,  // not a tracked shard, or a live one
+    kReset,  // a declared-dead incarnation is still talking: its commits
+             // were rolled back and its chain state is poison, so force a
+             // rebuild from its journal segment — once per death
+    kDrop,   // the reset already went out: ignore silently
+  };
+
+  ShardTable() = default;
+  /// Every shard of `map` alive, its liveness lease `lease_length` long
+  /// and heard at `now`.
+  ShardTable(const ShardMap& map, double lease_length, double now);
+
+  int size() const { return static_cast<int>(shards_.size()); }
+  /// Shard index of world rank `rank` (-1: untracked or not a shard).
+  int index_of(int rank) const;
+  /// False for an untracked shard.
+  bool dead(int shard) const {
+    return shard >= 0 && shard < size() && shards_[shard].dead;
+  }
+  /// A live shard's lease (null: the shard is dead or untracked).
+  Lease* live_lease(int shard);
+  double last_heard(int shard) const { return shards_[shard].lease.last_heard; }
+
+  /// Any message from `rank` renews a live shard's lease.
+  void heard(int rank, double now);
+  /// A commit digest from `rank`: apply it, or fence a dead incarnation.
+  Fence fence(int rank);
+  /// Returns false when the shard was already dead.
+  bool declare_dead(int shard);
+  /// A rebuilt incarnation said hello: alive, lease restarted at `now`.
+  void rejoin(int shard, double now);
+  /// The task touches a dead shard's frames (its results would be lost).
+  bool blocks(const RenderTask& task) const;
+
+ private:
+  struct Shard {
+    bool dead = false;
+    bool reset_sent = false;
+    Lease lease{Lease::Kind::kLiveness};
+  };
+  std::vector<Shard> shards_;
+  ShardMap map_;
 };
 
 }  // namespace now

@@ -39,13 +39,15 @@ void FrameSink::commit_region(std::int32_t task_id, const PixelRect& rect,
   journal_->region_commit(rc);
 }
 
-void FrameSink::complete_frame(std::int32_t frame, const Framebuffer& fb) {
+bool FrameSink::complete_frame(std::int32_t frame, const Framebuffer& fb) {
   if (frames_completed_ != nullptr) frames_completed_->inc();
-  if (!config_.output_dir.empty()) {
-    write_tga_atomic(fb, config_.frame_path
-                             ? config_.frame_path(frame)
-                             : frame_file_path(config_.output_dir,
-                                               config_.output_prefix, frame));
+  if (!config_.output_dir.empty() &&
+      !write_tga_atomic(fb, config_.frame_path
+                                ? config_.frame_path(frame)
+                                : frame_file_path(config_.output_dir,
+                                                  config_.output_prefix,
+                                                  frame))) {
+    return false;
   }
   if (journal_ != nullptr) {
     FrameCompleteRecord fc;
@@ -53,6 +55,7 @@ void FrameSink::complete_frame(std::int32_t frame, const Framebuffer& fb) {
     fc.digest = digest_frame(fb);
     journal_->frame_complete(fc);
   }
+  return true;
 }
 
 void FrameSink::checkpoint(const CheckpointRecord& rec) {

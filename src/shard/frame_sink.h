@@ -63,8 +63,9 @@ class FrameSink {
                      std::int32_t frame, const Framebuffer& fb);
 
   /// Frame fully assembled: atomically write its TGA (when output is
-  /// enabled), then append the frame-complete record — in that order.
-  void complete_frame(std::int32_t frame, const Framebuffer& fb);
+  /// enabled), then append the frame-complete record — in that order. A
+  /// failed write appends no record and returns false.
+  bool complete_frame(std::int32_t frame, const Framebuffer& fb);
 
   void checkpoint(const CheckpointRecord& rec);
 

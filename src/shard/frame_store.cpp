@@ -7,7 +7,9 @@
 namespace now {
 
 FrameStore::FrameStore(const FrameStoreConfig& config, FrameSink* sink)
-    : config_(config), sink_(sink) {
+    : config_(config),
+      sink_(sink),
+      ledger_(ledger_area(), config.first_frame, 0) {
   grow(config_.frame_count);
   if (config_.metrics != nullptr) {
     const std::string prefix =
@@ -23,8 +25,7 @@ FrameStore::FrameStore(const FrameStoreConfig& config, FrameSink* sink)
 void FrameStore::grow(int frames) {
   const std::size_t n = frames_.size() + static_cast<std::size_t>(frames);
   frames_.resize(n, Framebuffer(config_.width, config_.height));
-  area_missing_.resize(n, std::int64_t{config_.width} * config_.height);
-  committed_rects_.resize(n);
+  ledger_.grow(frames);
   written_off_.resize(n, 0);
 }
 
@@ -37,8 +38,7 @@ void FrameStore::write_off(int first, int count) {
 void FrameStore::reset(FrameSink* sink) {
   const int owned = frame_count();
   frames_.clear();
-  area_missing_.clear();
-  committed_rects_.clear();
+  ledger_ = FrameLedger(ledger_area(), config_.first_frame, 0);
   written_off_.clear();
   chains_.clear();
   grow(owned);
@@ -48,21 +48,12 @@ void FrameStore::reset(FrameSink* sink) {
 int FrameStore::restore(
     const std::vector<std::optional<Framebuffer>>& frames,
     const std::vector<std::vector<RegionCommitRecord>>& commits) {
-  int restored = 0;
   for (int f = first_frame(); f < end_frame(); ++f) {
-    if (f >= static_cast<int>(frames.size()) || !frames[f].has_value()) {
-      continue;
+    if (f < static_cast<int>(frames.size()) && frames[f].has_value()) {
+      frames_[f - first_frame()] = *frames[f];
     }
-    const int local = f - first_frame();
-    frames_[local] = *frames[f];
-    area_missing_[local] = 0;
-    if (f < static_cast<int>(commits.size())) {
-      for (const RegionCommitRecord& c : commits[f]) {
-        committed_rects_[local].insert(rect_key(c.rect));
-      }
-    }
-    ++restored;
   }
+  const int restored = ledger_.restore(frames, commits);
   report_.frames_restored += restored;
   return restored;
 }
@@ -155,23 +146,21 @@ CommitDigest FrameStore::commit(Context& ctx, const Message& msg) {
   // speculation partner or an overlapping reclaim — advances the chain but
   // is applied nowhere. Both copies render identical pixels (the coherence
   // guarantee), so skipping the apply keeps this sender's later sparse
-  // results valid against the predecessor frame.
-  const int local = frame - first_frame();
-  std::set<std::uint64_t>& gate = committed_rects_[local];
-  const std::uint64_t key = rect_key(region);
+  // results valid against the predecessor frame. Partition rects never
+  // partially overlap, so a fresh rect always fits in what the frame still
+  // misses.
   chain.next = frame + 1;
-  if (gate.count(key) > 0) {
+  const FrameLedger::Commit gate = ledger_.commit(frame, region);
+  if (gate == FrameLedger::Commit::kDuplicate) {
     d.kind = CommitKind::kDuplicate;
     ++report_.duplicates;
     return d;
   }
-  // Partition rects never partially overlap, so a fresh rect always fits in
-  // what the frame still misses.
-  if (region.area() > area_missing_[local]) {
+  if (gate == FrameLedger::Commit::kOversize) {
     return reject(chain, d, /*malformed=*/true);
   }
-  gate.insert(key);
 
+  const int local = frame - first_frame();
   if (!result.payload.dense) {
     frames_[local].blit(region, frames_[local - 1].extract(region));
   }
@@ -181,13 +170,14 @@ CommitDigest FrameStore::commit(Context& ctx, const Message& msg) {
   sink_->commit_region(result.task_id, region, frame, frames_[local]);
   ++report_.frames_committed;
 
-  area_missing_[local] -= region.area();
-  if (area_missing_[local] == 0) {
+  if (gate == FrameLedger::Commit::kCompleted) {
     ++report_.frames_completed;
     ctx.charge(config_.frame_write_seconds);
     // The sink writes the frame file atomically before the record that
-    // declares it durable.
-    sink_->complete_frame(frame, frames_[local]);
+    // declares it durable, and writes no record for a file that failed.
+    if (!sink_->complete_frame(frame, frames_[local])) {
+      ++report_.frame_write_failures;
+    }
   }
   d.kind = CommitKind::kFresh;
   return d;

@@ -2,12 +2,14 @@
 //
 // A store owns a contiguous range of frames and turns each kTagFrameResult
 // message into a CommitDigest: decode, validate against the task's chain and
-// the image bounds, apply the idempotent-commit gate, assemble the pixels (a
-// sparse result on top of the committed predecessor frame), journal the
-// region commit and, when a frame's last cell lands, write the frame through
-// the FrameSink and charge the frame-write cost. A --shards 1 master owns
-// one store over the whole frame space; each remote FrameShard owns one over
-// its range. The scheduler only ever sees the digests.
+// the image bounds, pass the idempotent-commit gate (the authoritative
+// FrameLedger, src/shard/frame_ledger.h; the scheduler keeps a mirror of the
+// same type), assemble the pixels (a sparse result on top of the committed
+// predecessor frame), journal the region commit and, when a frame's last
+// cell lands, write the frame through the FrameSink and charge the
+// frame-write cost. A --shards 1 master owns one store over the whole frame
+// space; each remote FrameShard owns one over its range. The scheduler only
+// ever sees the digests.
 //
 // Chains are per task, because a store may see only a slice of a worker's
 // result stream: a task's first result must be dense, and each later one
@@ -19,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "src/ckpt/journal.h"
@@ -27,6 +28,7 @@
 #include "src/net/runtime.h"
 #include "src/obs/metrics.h"
 #include "src/shard/digest.h"
+#include "src/shard/frame_ledger.h"
 #include "src/shard/frame_sink.h"
 
 namespace now {
@@ -61,6 +63,9 @@ struct StoreReport {
   /// image, or larger than the frame's missing area).
   std::int64_t decode_failures = 0;
   std::int64_t frame_bytes = 0;       // wire payload bytes received
+  /// Completed frames whose file failed to write: no completion record was
+  /// journaled, so a resume re-renders them.
+  std::int64_t frame_write_failures = 0;
 };
 
 class FrameStore {
@@ -112,14 +117,15 @@ class FrameStore {
   /// a decode failure.
   CommitDigest reject(Chain& chain, CommitDigest d, bool malformed);
   void count_decode_failure();
+  std::int64_t ledger_area() const {
+    return std::int64_t{config_.width} * config_.height;
+  }
 
   FrameStoreConfig config_;
   FrameSink* sink_;
   std::vector<Framebuffer> frames_;
-  std::vector<std::int64_t> area_missing_;
-  /// Authoritative idempotent-commit gate: per owned frame, the packed
-  /// rects already applied.
-  std::vector<std::set<std::uint64_t>> committed_rects_;
+  /// Authoritative idempotent-commit gate over the owned frames.
+  FrameLedger ledger_;
   std::vector<char> written_off_;  // per owned frame: see write_off()
   std::map<std::int32_t, Chain> chains_;
 

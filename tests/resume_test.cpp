@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -196,6 +197,67 @@ TEST(Resume, MissingOrTamperedFrameFilesAreReRendered) {
             encode_tga(clean.frames[1]));
   EXPECT_EQ(read_file(frame_file_path(dir, "frame", 2)),
             encode_tga(clean.frames[2]));
+}
+
+TEST(Resume, FrameFilesThatFailToWriteAreCountedAndNeverJournaled) {
+  // The output directory does not exist, so every TGA write fails. The run
+  // still assembles every frame, but it must report the failures and must
+  // not append the kFrameComplete records that vouch for files on disk.
+  // (Scheduler checkpoints still mark assembled frames complete; a resume
+  // demotes those when their file is missing.)
+  const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const std::string dir = unique_dir("resume_unwritable");
+    FarmConfig config = journal_config(dir);
+    config.output_dir = dir + "/missing";
+    std::filesystem::remove_all(config.output_dir);
+    config.shards = shards;
+    const FarmResult result = render_farm(scene, config);
+    ASSERT_EQ(result.master.frames_completed, scene.frame_count());
+    EXPECT_EQ(result.frame_write_failures, scene.frame_count());
+    std::int64_t by_shard = 0;
+    for (const ShardReport& s : result.shards) {
+      by_shard += s.frame_write_failures;
+    }
+    EXPECT_EQ(by_shard, shards > 1 ? scene.frame_count() : 0);
+    std::vector<std::string> journals{config.journal_path};
+    for (int i = 0; shards > 1 && i < shards; ++i) {
+      journals.push_back(shard_journal_path(config.journal_path, i));
+    }
+    for (const std::string& path : journals) {
+      const JournalReplay replay = replay_journal(path);
+      ASSERT_TRUE(replay.ok) << path << ": " << replay.error;
+      EXPECT_TRUE(replay.frame_digest.empty()) << path;
+    }
+  }
+}
+
+TEST(Resume, FramesThatFailedToWriteAreReRendered) {
+  const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
+  const FarmResult clean =
+      render_farm(scene, journal_config(unique_dir("resume_ok")));
+  const std::string dir = unique_dir("resume_rewrite");
+  FarmConfig config = journal_config(dir);
+  config.output_dir = dir + "/frames";
+  std::filesystem::remove_all(config.output_dir);  // left by an earlier run
+  ASSERT_EQ(render_farm(scene, config).frame_write_failures,
+            scene.frame_count());
+
+  // The directory appears; the resume trusts no frame (none was journaled
+  // complete) and re-renders them all to the uninterrupted run's bytes.
+  ::mkdir(config.output_dir.c_str(), 0755);
+  config.resume = true;
+  const FarmResult result = render_farm(scene, config);
+  EXPECT_EQ(result.resume.frames_restored, 0);
+  EXPECT_EQ(result.master.frames_completed, scene.frame_count());
+  EXPECT_EQ(result.frame_write_failures, 0);
+  expect_frames_equal(result.frames, clean.frames, "rewritten");
+  for (int f = 0; f < scene.frame_count(); ++f) {
+    EXPECT_EQ(read_file(frame_file_path(config.output_dir, "frame", f)),
+              encode_tga(clean.frames[f]))
+        << "frame " << f;
+  }
 }
 
 TEST(Resume, JournalFromADifferentAnimationIsRejected) {

@@ -1,6 +1,7 @@
-// WorkerTable and Lease, row by row: the pure worker lifecycle is driven
-// directly — no actor, no runtime — and each row checks one guarded
-// transition, one digest-chain rule, or one lease verdict.
+// WorkerTable, Lease and ShardTable, row by row: the pure worker lifecycle
+// and shard liveness are driven directly — no actor, no runtime — and each
+// row checks one guarded transition, one digest-chain rule, one lease
+// verdict, or one shard fence decision.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -14,6 +15,7 @@ namespace {
 using Admit = WorkerTable::Admit;
 using Advance = WorkerTable::Advance;
 using Verdict = Lease::Verdict;
+using Fence = ShardTable::Fence;
 
 const PixelRect kTile{0, 0, 4, 4};
 
@@ -326,6 +328,60 @@ void liveness_lease_verdicts() {
   EXPECT_EQ(lease.ping_time, -1.0);
 }
 
+void shard_fence_resets_once_per_death() {
+  // Two shards at ranks 3 and 4 (workers are ranks 1 and 2).
+  ShardTable t(two_shards(), 5.0, 0.0);
+  EXPECT_EQ(t.fence(4), Fence::kApply);
+  ASSERT_TRUE(t.declare_dead(1));
+  EXPECT_FALSE(t.declare_dead(1));
+  // The dead incarnation is still talking: one reset, then silence.
+  EXPECT_EQ(t.fence(4), Fence::kReset);
+  EXPECT_EQ(t.fence(4), Fence::kDrop);
+  EXPECT_EQ(t.fence(4), Fence::kDrop);
+  EXPECT_EQ(t.fence(3), Fence::kApply);  // the live shard is untouched
+  // A rebuilt incarnation's hello: its digests apply again.
+  t.rejoin(1, 7.0);
+  EXPECT_FALSE(t.dead(1));
+  EXPECT_EQ(t.fence(4), Fence::kApply);
+  // The next death fences afresh.
+  ASSERT_TRUE(t.declare_dead(1));
+  EXPECT_EQ(t.fence(4), Fence::kReset);
+  EXPECT_EQ(t.fence(4), Fence::kDrop);
+}
+
+void shard_liveness_lookup_and_dispatch_hold() {
+  ShardTable t(two_shards(), 5.0, 0.0);
+  EXPECT_EQ(t.size(), 2);
+  EXPECT_EQ(t.index_of(0), -1);  // the scheduler
+  EXPECT_EQ(t.index_of(2), -1);  // a worker
+  EXPECT_EQ(t.index_of(3), 0);
+  EXPECT_EQ(t.index_of(4), 1);
+  EXPECT_EQ(t.index_of(5), -1);
+  t.heard(4, 3.0);
+  ASSERT_NE(t.live_lease(1), nullptr);
+  EXPECT_EQ(t.live_lease(1)->kind, Lease::Kind::kLiveness);
+  EXPECT_EQ(t.last_heard(1), 3.0);
+  EXPECT_EQ(t.live_lease(2), nullptr);
+  // Shard 0 owns frames [0, 8). Once it is dead, its frames are held from
+  // dispatch and its messages renew nothing.
+  ASSERT_TRUE(t.declare_dead(0));
+  t.heard(3, 4.0);
+  EXPECT_EQ(t.last_heard(0), 0.0);
+  EXPECT_EQ(t.live_lease(0), nullptr);
+  EXPECT_TRUE(t.blocks({1, kTile, 7, 2}));
+  EXPECT_FALSE(t.blocks({1, kTile, 8, 2}));
+  t.rejoin(0, 6.0);
+  EXPECT_FALSE(t.blocks({1, kTile, 7, 2}));
+  EXPECT_EQ(t.last_heard(0), 6.0);
+  // Liveness off: an empty table where every shard reads alive.
+  ShardTable off;
+  EXPECT_EQ(off.index_of(3), -1);
+  EXPECT_FALSE(off.dead(0));
+  EXPECT_EQ(off.fence(3), Fence::kApply);
+  EXPECT_EQ(off.live_lease(0), nullptr);
+  EXPECT_FALSE(off.blocks({1, kTile, 0, 16}));
+}
+
 struct TableCase {
   const char* name;
   void (*run)();
@@ -356,7 +412,11 @@ INSTANTIATE_TEST_SUITE_P(
         TableCase{"split_victim_and_checkpoint_views",
                   split_victim_and_checkpoint_views},
         TableCase{"progress_lease_verdicts", progress_lease_verdicts},
-        TableCase{"liveness_lease_verdicts", liveness_lease_verdicts}),
+        TableCase{"liveness_lease_verdicts", liveness_lease_verdicts},
+        TableCase{"shard_fence_resets_once_per_death",
+                  shard_fence_resets_once_per_death},
+        TableCase{"shard_liveness_lookup_and_dispatch_hold",
+                  shard_liveness_lookup_and_dispatch_hold}),
     [](const ::testing::TestParamInfo<TableCase>& info) {
       return std::string(info.param.name);
     });
